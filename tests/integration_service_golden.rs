@@ -1,6 +1,7 @@
 //! Golden wire-format test for the HTTP front end: the normalized
 //! `POST /v1/jobs` response and `/metrics` document are pinned as byte
-//! snapshots under `tests/golden/`.
+//! snapshots under `tests/golden/`, together with the job id, structure
+//! fingerprint and output digest of one small spec per job kind.
 //!
 //! Job ids are the 16-hex-digit content hash of the spec and solver
 //! results are deterministic, so after [`normalize_timings`] strips the
@@ -14,12 +15,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use si_analog::engine::EngineWorkspace;
 use si_service::http::{http_request, HttpServer};
+use si_service::jobspec::{Fnv1a, JobOutput, JobSpec};
 use si_service::json::{parse, Json};
 use si_service::service::{normalize_timings, ServiceConfig, SiService};
 
 const GOLDEN_JOB: &str = include_str!("golden/service_job_response.json");
 const GOLDEN_METRICS: &str = include_str!("golden/service_metrics.json");
+const GOLDEN_KEYS: &str = include_str!("golden/service_job_keys.json");
 
 const JOB_BODY: &str = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20.0,"input_ua":1.0}"#;
 
@@ -151,6 +155,98 @@ fn post_and_metrics_match_golden_snapshots() {
     server.shutdown();
 }
 
+/// One small spec of every job kind. Their identities are pinned because
+/// disk `.sic` names, checkpoint keys and router shards all derive from
+/// them.
+fn identity_specs() -> Vec<JobSpec> {
+    vec![
+        JobSpec::DelayLineDc {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: 1.0,
+        },
+        JobSpec::DelayLineTran {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: 1.0,
+            steps: 40,
+            dt_ns: 50.0,
+            clock_hz: 2.0e6,
+        },
+        JobSpec::DelayLineAc {
+            stages: 2,
+            bias_ua: 20.0,
+            input_ua: 0.5,
+            f_lo_hz: 1e3,
+            f_hi_hz: 1e8,
+            points: 5,
+        },
+        JobSpec::SndrSweep {
+            full_scale_ua: 6.0,
+            levels_db: vec![-40.0, -6.0],
+        },
+        JobSpec::DelayLineDcBatch {
+            stages: 3,
+            bias_ua: 20.0,
+            inputs_ua: vec![0.5, 1.0, 1.5],
+        },
+        JobSpec::Netlist {
+            netlist: "V1 in 0 3.3\nR1 in mid 1k\nR2 mid 0 2k\n.end\n".to_string(),
+        },
+        JobSpec::TranStream {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: 2.0,
+            steps: 300,
+            dt_ns: 50.0,
+            clock_hz: 2.0e6,
+            chunk_steps: 64,
+            seg_len: 128,
+        },
+    ]
+}
+
+/// FNV-1a over every value and metric of a job output, bit for bit.
+fn output_digest(out: &JobOutput) -> u64 {
+    let mut h = Fnv1a::new();
+    h.mix_u64(out.values.len() as u64);
+    for &v in &out.values {
+        h.mix_f64(v);
+    }
+    h.mix_u64(out.metrics.len() as u64);
+    for (name, v) in &out.metrics {
+        h.mix_bytes(name.as_bytes());
+        h.mix_f64(*v);
+    }
+    h.finish()
+}
+
+#[test]
+fn job_identities_match_golden_snapshot() {
+    let mut ws = EngineWorkspace::new();
+    let mut actual = String::from("[\n");
+    let specs = identity_specs();
+    for (i, spec) in specs.iter().enumerate() {
+        let out = spec.run(&mut ws).expect("identity spec solves");
+        let entry = Json::Object(vec![
+            ("kind".to_string(), Json::String(spec.kind().to_string())),
+            ("id".to_string(), Json::String(SiService::job_id(spec))),
+            (
+                "structure".to_string(),
+                Json::String(format!("{:016x}", spec.structure_fingerprint())),
+            ),
+            (
+                "output".to_string(),
+                Json::String(format!("{:016x}", output_digest(&out))),
+            ),
+        ]);
+        actual.push_str(&entry.to_string_compact());
+        actual.push_str(if i + 1 < specs.len() { ",\n" } else { "\n" });
+    }
+    actual.push_str("]\n");
+    check_or_update("service_job_keys.json", GOLDEN_KEYS, &actual);
+}
+
 #[test]
 fn golden_snapshots_carry_real_payload_not_hollow_shells() {
     // Guard the content of the snapshots, not just their stability.
@@ -177,4 +273,16 @@ fn golden_snapshots_carry_real_payload_not_hollow_shells() {
     assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0));
     // And the snapshot really is normalized: no wall-clock residue.
     assert!(GOLDEN_METRICS.contains("\"solve_time_ns\":0"));
+
+    // Every job kind is pinned once, under its own distinct id.
+    let keys = parse(GOLDEN_KEYS.trim()).expect("keys snapshot parses");
+    let entries = keys.as_array().expect("keys snapshot is an array");
+    assert_eq!(entries.len(), identity_specs().len());
+    let mut ids: Vec<&str> = entries
+        .iter()
+        .map(|e| e.get("id").and_then(Json::as_str).expect("id present"))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), entries.len(), "job ids collide across kinds");
 }
