@@ -199,43 +199,11 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &[T], usize) -> Result<Vec<R>, E> + Sync,
 {
-    parallel_map_batched_with_stats(items, block_size, init, f, |_| ()).map(|(results, ())| results)
-}
-
-/// [`parallel_map_batched`] with deterministic telemetry collection: after
-/// each block completes, `extract` distills the block's private state into
-/// a mergeable summary and the per-block summaries are folded into one
-/// total via [`Merge`]. Each block contributes exactly once, so the merged
-/// total is independent of scheduling — identical to the serial block loop.
-///
-/// # Panics
-///
-/// As [`parallel_map_batched`].
-///
-/// # Errors
-///
-/// As [`parallel_map_batched`]; partial stats are discarded on error.
-pub fn parallel_map_batched_with_stats<T, S, R, E, St, I, F, X>(
-    items: &[T],
-    block_size: usize,
-    init: I,
-    f: F,
-    extract: X,
-) -> Result<(Vec<R>, St), E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    St: Merge + Default + Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &[T], usize) -> Result<Vec<R>, E> + Sync,
-    X: Fn(S) -> St + Sync,
-{
     if items.is_empty() {
-        return Ok((Vec::new(), St::default()));
+        return Ok(Vec::new());
     }
     let block = block_size.max(1);
-    let run_block = |start: usize| -> Result<(Vec<R>, St), E> {
+    let run_block = |start: usize| -> Result<Vec<R>, E> {
         let end = (start + block).min(items.len());
         let mut state = init();
         let results = f(&mut state, &items[start..end], start)?;
@@ -244,31 +212,27 @@ where
             end - start,
             "batched closure must return one result per block item"
         );
-        Ok((results, extract(state)))
+        Ok(results)
     };
     let starts: Vec<usize> = (0..items.len()).step_by(block).collect();
     let workers = worker_count(starts.len());
     if workers == 1 {
         let mut out = Vec::with_capacity(items.len());
-        let mut total = St::default();
         for &start in &starts {
-            let (results, stats) = run_block(start)?;
-            out.extend(results);
-            total.merge(&stats);
+            out.extend(run_block(start)?);
         }
-        return Ok((out, total));
+        return Ok(out);
     }
 
     let cursor = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, Vec<R>)> = Vec::with_capacity(starts.len());
     let mut first_err: Option<(usize, E)> = None;
-    let mut total = St::default();
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut ok: Vec<(usize, Vec<R>, St)> = Vec::new();
+                    let mut ok: Vec<(usize, Vec<R>)> = Vec::new();
                     let mut err: Option<(usize, E)> = None;
                     loop {
                         let b = cursor.fetch_add(1, Ordering::Relaxed);
@@ -277,7 +241,7 @@ where
                         }
                         let start = starts[b];
                         match run_block(start) {
-                            Ok((results, stats)) => ok.push((start, results, stats)),
+                            Ok(results) => ok.push((start, results)),
                             Err(e) => {
                                 err = Some((start, e));
                                 break;
@@ -291,10 +255,7 @@ where
         for handle in handles {
             // A panicking worker propagates its panic here, as in serial code.
             let (ok, err) = handle.join().expect("batched sweep worker panicked");
-            for (start, results, stats) in ok {
-                tagged.push((start, results));
-                total.merge(&stats);
-            }
+            tagged.extend(ok);
             if let Some((i, e)) = err {
                 match &first_err {
                     Some((fi, _)) if *fi <= i => {}
@@ -312,7 +273,7 @@ where
     for (_, results) in tagged {
         out.extend(results);
     }
-    Ok((out, total))
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -499,27 +460,6 @@ mod tests {
             AnalogError::NoConvergence { iterations, .. } => assert_eq!(iterations, 16),
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn batched_stats_cover_every_block_exactly_once() {
-        use crate::telemetry::EngineStats;
-        let items: Vec<u64> = (0..130).collect();
-        let (out, stats) = parallel_map_batched_with_stats(
-            &items,
-            16,
-            EngineStats::new,
-            |stats, block: &[u64], _| {
-                stats.batch_runs += 1;
-                stats.batch_scenarios += block.len() as u64;
-                Ok::<_, AnalogError>(block.to_vec())
-            },
-            |stats| stats,
-        )
-        .unwrap();
-        assert_eq!(out, items);
-        assert_eq!(stats.batch_runs, 130_u64.div_ceil(16));
-        assert_eq!(stats.batch_scenarios, items.len() as u64);
     }
 
     #[test]

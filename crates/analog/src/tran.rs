@@ -67,6 +67,12 @@ impl TranParams {
         self.clock = Some(clock);
         self
     }
+
+    /// The number of fixed steps in a run: `t_stop / dt`, rounded.
+    #[must_use]
+    pub fn steps(&self) -> usize {
+        (self.t_stop.0 / self.dt.0).round() as usize
+    }
 }
 
 /// The recorded waveforms of a transient run.
@@ -220,7 +226,9 @@ pub fn run(circuit: &Circuit, params: &TranParams) -> Result<TranResult, AnalogE
 }
 
 /// Runs a transient analysis (DC initial condition included), reusing the
-/// caller's workspace buffers across the DC solve and every time step.
+/// caller's workspace buffers across the DC solve and every time step: the
+/// [`initial_condition`] followed by one [`run_chunk_with`] chunk of
+/// [`TranParams::steps`] steps.
 ///
 /// # Errors
 ///
@@ -231,13 +239,13 @@ pub fn run_with(
     ws: &mut EngineWorkspace,
 ) -> Result<TranResult, AnalogError> {
     let op = initial_condition(circuit, params, ws)?;
-    run_from_with(circuit, params, op, ws)
+    run_chunk_with(circuit, params, 0, params.steps(), &op, ws).map(|(result, _)| result)
 }
 
 /// The DC operating point a transient run starts from, with the switches
 /// in their `t = 0` clock state. This is the `initial` solution
-/// [`run_with`] feeds to [`run_from_with`] — exposed so a chunked runner
-/// can compute it once and then advance via [`run_chunk_with`].
+/// [`run_with`] feeds to [`run_chunk_with`] — exposed so a chunked runner
+/// can compute it once and then advance chunk by chunk.
 ///
 /// # Errors
 ///
@@ -259,98 +267,22 @@ pub fn initial_condition(
         .solve_with(circuit, ws)
 }
 
-/// Runs a transient analysis from a supplied initial solution (e.g. the
-/// final state of a previous segment).
-///
-/// # Errors
-///
-/// Propagates Newton failures at any step.
-pub fn run_from(
-    circuit: &Circuit,
-    params: &TranParams,
-    initial: Solution,
-) -> Result<TranResult, AnalogError> {
-    let mut ws = EngineWorkspace::for_circuit(circuit);
-    run_from_with(circuit, params, initial, &mut ws)
-}
-
-/// Runs a transient analysis from a supplied initial solution, reusing the
-/// caller's workspace buffers. Once the result vectors reach their final
-/// capacity (reserved up front), the per-step loop performs no heap
-/// allocation: assembly, factorization, and back-substitution all happen
-/// in place inside `ws`.
-///
-/// # Errors
-///
-/// Same as [`run_from`].
-pub fn run_from_with(
-    circuit: &Circuit,
-    params: &TranParams,
-    initial: Solution,
-    ws: &mut EngineWorkspace,
-) -> Result<TranResult, AnalogError> {
-    let n_nodes = circuit.node_count();
-    let n_branches = circuit.branch_count();
-    let steps = (params.t_stop.0 / params.dt.0).round() as usize;
-
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut node_voltages = Vec::with_capacity((steps + 1) * n_nodes);
-    let mut branch_currents = Vec::with_capacity((steps + 1) * n_branches);
-
-    let mut prev = initial.node_voltages();
-    times.push(0.0);
-    node_voltages.extend_from_slice(&prev);
-    branch_currents.extend((0..n_branches).map(|k| initial.branch_current(k).0));
-
-    let settings = NewtonSettings {
-        max_iterations: params.max_iterations,
-        vtol: params.vtol,
-        max_step: 0.5,
-    };
-
-    for step in 1..=steps {
-        let t = step as f64 * params.dt.0;
-        // Newton at this time point, warm-started from the previous step.
-        let spec = StampSpec {
-            time: Some(Seconds(t)),
-            clock: params.clock.as_ref(),
-            phi1_high: false,
-            phi2_high: false,
-            cap_step: Some(CapStep {
-                h: params.dt.0,
-                prev_voltages: &prev,
-            }),
-        };
-        ws.newton(circuit, &spec, &settings, params.gmin, &prev)?;
-        times.push(t);
-        node_voltages.extend_from_slice(ws.node_voltages());
-        branch_currents.extend_from_slice(ws.branch_currents());
-        prev.clear();
-        prev.extend_from_slice(ws.node_voltages());
-    }
-
-    Ok(TranResult {
-        times,
-        n_nodes,
-        n_branches,
-        node_voltages,
-        branch_currents,
-        clock: params.clock,
-    })
-}
-
 /// Runs one chunk of a transient analysis: the `chunk_steps` steps after
 /// absolute step `start_step`, starting from `initial` (the state at
 /// `start_step`). Returns the chunk's waveforms plus the end-of-chunk
-/// state to feed into the next chunk.
+/// state to feed into the next chunk. A whole run from a supplied initial
+/// solution is the single chunk `(0, params.steps())`.
 ///
 /// Each step's time is computed from its absolute index
 /// (`t = step · dt`, never accumulated chunk offsets), and the Newton
 /// warm start is exactly the previous step's voltages, so a run split
 /// into chunks — including one resumed from a checkpointed `initial` —
-/// is bit-identical to an uninterrupted [`run_from_with`] over the same
+/// is bit-identical to an uninterrupted single chunk over the same
 /// steps. The `t = 0` initial point is recorded only when
-/// `start_step == 0`, mirroring [`run_from_with`]'s output layout.
+/// `start_step == 0`. Once the result vectors reach their capacity
+/// (reserved up front), the step loop performs no heap allocation:
+/// assembly, factorization, and back-substitution all happen in place
+/// inside `ws`.
 ///
 /// # Errors
 ///

@@ -10,7 +10,7 @@ use si_analog::cells::ClassAbCellDesign;
 use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::device::TwoPhaseClock;
 use si_analog::engine::EngineWorkspace;
-use si_analog::tran::{run_from, run_from_with, TranParams};
+use si_analog::tran::{run_chunk_with, TranParams};
 use si_analog::units::{Amps, Seconds};
 
 fn bench_transient_period(c: &mut Criterion) {
@@ -27,28 +27,31 @@ fn bench_transient_period(c: &mut Criterion) {
     let params = TranParams::new(Seconds(1e-6), Seconds(2e-9))
         .unwrap()
         .with_clock(clock);
+    let steps = params.steps();
     c.bench_function("tran_class_ab_cell_one_period", |b| {
-        b.iter(|| run_from(black_box(&ckt), &params, op.clone()).unwrap())
+        b.iter(|| {
+            let mut ws = EngineWorkspace::for_circuit(&ckt);
+            run_chunk_with(black_box(&ckt), &params, 0, steps, &op, &mut ws).unwrap()
+        })
     });
 
     // Coarser steps for the scaling picture.
     let coarse = TranParams::new(Seconds(1e-6), Seconds(10e-9))
         .unwrap()
         .with_clock(clock);
+    let coarse_steps = coarse.steps();
     c.bench_function("tran_class_ab_cell_one_period_coarse", |b| {
-        b.iter(|| run_from(black_box(&ckt), &coarse, op.clone()).unwrap())
+        b.iter(|| {
+            let mut ws = EngineWorkspace::for_circuit(&ckt);
+            run_chunk_with(black_box(&ckt), &coarse, 0, coarse_steps, &op, &mut ws).unwrap()
+        })
     });
 
-    // The reuse-vs-fresh pair on the steady-state path: a persistent
-    // workspace keeps the assemble/factor/solve buffers warm across
-    // periods, so the per-step cost is pure numerics. Reuse beating fresh
-    // here is the acceptance check for the zero-allocation claim.
-    c.bench_function("tran_one_period_fresh_workspace", |b| {
-        b.iter(|| run_from(black_box(&ckt), &coarse, op.clone()).unwrap())
-    });
+    // The same coarse period on a persistent workspace, which keeps the
+    // assemble/factor/solve buffers warm across periods.
     c.bench_function("tran_one_period_reused_workspace", |b| {
         let mut ws = EngineWorkspace::for_circuit(&ckt);
-        b.iter(|| run_from_with(black_box(&ckt), &coarse, op.clone(), &mut ws).unwrap())
+        b.iter(|| run_chunk_with(black_box(&ckt), &coarse, 0, coarse_steps, &op, &mut ws).unwrap())
     });
 }
 

@@ -9,9 +9,9 @@
 //! promises, and threads are the wrong currency for idleness. This
 //! version runs **one event-loop thread** over nonblocking sockets:
 //!
-//! - every connection is a slot in a `poll(2)` set (hand-declared FFI on
-//!   unix — std links the platform C library; elsewhere a short-tick
-//!   scan loop stands in) driving a per-connection state machine:
+//! - every connection is a slot in a `poll(2)` set (hand-declared FFI —
+//!   std links the platform C library; the front end is unix-only)
+//!   driving a per-connection state machine:
 //!   **Reading** (accumulate request bytes) → **Waiting** (a handler
 //!   thread runs the blocking solve) → **Writing** (drain the response)
 //!   → back to Reading on keep-alive,
@@ -163,7 +163,6 @@ impl HttpStats {
 /// Hand-declared `poll(2)`. The environment vendors no libc crate, but
 /// std always links the platform C library, so the one syscall wrapper
 /// the loop needs is declared here.
-#[cfg(unix)]
 mod poll_sys {
     use std::os::raw::{c_int, c_short};
 
@@ -187,46 +186,30 @@ mod poll_sys {
     }
 }
 
-/// Wakes the event loop from another thread. On unix this is a
-/// socketpair the loop polls alongside its connections; elsewhere the
-/// loop ticks every couple of milliseconds and the waker is a no-op.
+/// Wakes the event loop from another thread: a socketpair the loop polls
+/// alongside its connections.
 #[derive(Debug)]
 struct Waker {
-    #[cfg(unix)]
     tx: std::os::unix::net::UnixStream,
-    #[cfg(unix)]
     rx: std::os::unix::net::UnixStream,
 }
 
 impl Waker {
     fn new() -> std::io::Result<Waker> {
-        #[cfg(unix)]
-        {
-            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok(Waker { tx, rx })
-        }
-        #[cfg(not(unix))]
-        {
-            Ok(Waker {})
-        }
+        let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
     }
 
     /// Best-effort: a full pipe already guarantees a pending wake.
     fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let _ = (&self.tx).write(&[1]);
-        }
+        let _ = (&self.tx).write(&[1]);
     }
 
     fn drain(&self) {
-        #[cfg(unix)]
-        {
-            let mut sink = [0u8; 64];
-            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
@@ -454,9 +437,8 @@ struct ReadySet {
     conns: Vec<usize>,
 }
 
-/// One poll wait on unix: the wake pipe, the listener, and every
-/// connection whose state wants I/O.
-#[cfg(unix)]
+/// One poll wait: the wake pipe, the listener, and every connection whose
+/// state wants I/O.
 fn poll_wait(
     waker: &Waker,
     listener: &TcpListener,
@@ -505,30 +487,6 @@ fn poll_wait(
             .zip(&fds[2..])
             .filter(|(_, f)| f.revents != 0)
             .map(|(t, _)| *t)
-            .collect(),
-    }
-}
-
-/// Portable fallback: tick every 2 ms and optimistically try everything
-/// (nonblocking sockets make spurious attempts cheap).
-#[cfg(not(unix))]
-fn poll_wait(
-    _waker: &Waker,
-    _listener: &TcpListener,
-    conns: &[Option<Conn>],
-    timeout_ms: i32,
-) -> ReadySet {
-    thread::sleep(Duration::from_millis(timeout_ms.clamp(0, 2) as u64));
-    ReadySet {
-        listener: true,
-        conns: conns
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| {
-                slot.as_ref()
-                    .is_some_and(|c| !matches!(c.state, ConnState::Waiting))
-            })
-            .map(|(t, _)| t)
             .collect(),
     }
 }

@@ -11,7 +11,7 @@
 //! parameter yields a different key.
 
 use si_analog::ac::{AcAnalysis, AcProbe, AcStimulus};
-use si_analog::cells::DelayLineDesign;
+use si_analog::cells::{DelayLine, DelayLineDesign};
 use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::device::switch::TwoPhaseClock;
 use si_analog::engine::{BatchRun, EngineWorkspace};
@@ -19,6 +19,7 @@ use si_analog::mna::Solution;
 use si_analog::parse::parse_netlist_canonical;
 use si_analog::tran::{self, TranParams};
 use si_analog::units::{Amps, Farads, Seconds, Volts};
+use si_analog::AnalogError;
 use si_dsp::welch::WelchAccumulator;
 use si_dsp::window::Window;
 use si_modulator::arch::SecondOrderTopology;
@@ -213,31 +214,22 @@ impl JobSpec {
     /// [`ServiceError::InvalidSpec`] naming the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
         let bad = |msg: &str| Err(ServiceError::InvalidSpec(msg.to_string()));
-        match self {
-            JobSpec::DelayLineDc {
-                stages, bias_ua, ..
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
+        if let Some(line) = self.line_knobs() {
+            if line.stages == 0 || line.stages > 4096 {
+                return bad("stages must be in 1..=4096");
             }
+            if !(line.bias_ua > 0.0) {
+                return bad("bias_ua must be positive");
+            }
+        }
+        match self {
+            JobSpec::DelayLineDc { .. } => {}
             JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
                 steps,
                 dt_ns,
                 clock_hz,
                 ..
             } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
                 if *steps == 0 || *steps > 100_000 {
                     return bad("steps must be in 1..=100000");
                 }
@@ -249,19 +241,11 @@ impl JobSpec {
                 }
             }
             JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
                 f_lo_hz,
                 f_hi_hz,
                 points,
                 ..
             } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
                 if !(*f_lo_hz > 0.0) || !(*f_hi_hz > *f_lo_hz) {
                     return bad("need 0 < f_lo_hz < f_hi_hz");
                 }
@@ -283,17 +267,7 @@ impl JobSpec {
                     return bad("levels_db entries must be finite");
                 }
             }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
+            JobSpec::DelayLineDcBatch { inputs_ua, .. } => {
                 if inputs_ua.is_empty() || inputs_ua.len() > 1024 {
                     return bad("inputs_ua needs 1..=1024 entries");
                 }
@@ -316,8 +290,6 @@ impl JobSpec {
                 }
             }
             JobSpec::TranStream {
-                stages,
-                bias_ua,
                 steps,
                 dt_ns,
                 clock_hz,
@@ -325,12 +297,6 @@ impl JobSpec {
                 seg_len,
                 ..
             } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
                 // Streaming exists for runs too long for one deadline, so
                 // the step cap is far above DelayLineTran's.
                 if *steps == 0 || *steps > 1_048_576 {
@@ -389,61 +355,43 @@ impl JobSpec {
     #[must_use]
     pub fn job_key(&self) -> u64 {
         let mut h = Fnv1a::new();
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                h.mix_u64(1);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
+        if let Some(line) = self.line_knobs() {
+            h.mix_u64(line.tag);
+            // A batch fingerprints its shared topology once (input source
+            // at zero) and mixes the per-scenario inputs below.
+            match build_line(line.stages, line.bias_ua, line.input_ua.unwrap_or(0.0)) {
+                Ok(built) => {
+                    h.mix_u64(built.circuit.structure_fingerprint());
+                    h.mix_u64(built.circuit.value_fingerprint());
+                }
+                Err(_) => {
                     // Invalid specs still need a stable (never-cached) key.
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
+                    h.mix_u64(line.stages as u64);
+                    h.mix_f64(line.bias_ua);
+                    if let Some(input_ua) = line.input_ua {
+                        h.mix_f64(input_ua);
+                    }
                 }
             }
+        }
+        match self {
+            JobSpec::DelayLineDc { .. } => {}
             JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
                 steps,
                 dt_ns,
                 clock_hz,
+                ..
             } => {
-                h.mix_u64(2);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
                 h.mix_u64(*steps as u64);
                 h.mix_f64(*dt_ns);
                 h.mix_f64(*clock_hz);
             }
             JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
                 f_lo_hz,
                 f_hi_hz,
                 points,
+                ..
             } => {
-                h.mix_u64(3);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
                 h.mix_f64(*f_lo_hz);
                 h.mix_f64(*f_hi_hz);
                 h.mix_u64(*points as u64);
@@ -459,21 +407,7 @@ impl JobSpec {
                     h.mix_f64(l);
                 }
             }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                h.mix_u64(5);
-                // Fingerprint the shared topology once (input source at
-                // zero), then mix the per-scenario inputs explicitly.
-                if let Ok(line) = build_line(*stages, *bias_ua, 0.0) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                }
+            JobSpec::DelayLineDcBatch { inputs_ua, .. } => {
                 h.mix_u64(inputs_ua.len() as u64);
                 for &i in inputs_ua {
                     h.mix_f64(i);
@@ -496,24 +430,13 @@ impl JobSpec {
                 }
             }
             JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
                 steps,
                 dt_ns,
                 clock_hz,
                 chunk_steps,
                 seg_len,
+                ..
             } => {
-                h.mix_u64(7);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
                 h.mix_u64(*steps as u64);
                 h.mix_f64(*dt_ns);
                 h.mix_f64(*clock_hz);
@@ -570,83 +493,68 @@ impl JobSpec {
                 )
         };
         let mut h = Fnv1a::new();
-        match self {
+        if let Some(line) = self.line_knobs() {
+            match build_line(line.stages, line.bias_ua, line.input_ua.unwrap_or(0.0)) {
+                Ok(built) => h.mix_u64(canonical(&built.circuit)),
+                Err(_) => {
+                    h.mix_u64(line.tag);
+                    h.mix_u64(line.stages as u64);
+                }
+            }
+        } else if let JobSpec::Netlist { netlist } = self {
+            if let Ok(circuit) = parse_netlist_canonical(netlist) {
+                h.mix_u64(circuit.structure_fingerprint());
+            } else {
+                h.mix_u64(6);
+                h.mix_u64(netlist.len() as u64);
+                h.mix_bytes(netlist.as_bytes());
+            }
+        } else {
+            // A sweep has no circuit behind it; all sweeps share one
+            // "structure".
+            h.mix_u64(4);
+        }
+        h.finish()
+    }
+
+    /// The delay-line knobs of the five line kinds, `None` for the kinds
+    /// without a delay line.
+    fn line_knobs(&self) -> Option<LineKnobs> {
+        let (tag, stages, bias_ua, input_ua) = match self {
             JobSpec::DelayLineDc {
                 stages,
                 bias_ua,
                 input_ua,
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(1);
-                    h.mix_u64(*stages as u64);
-                }
-            }
+            } => (1, stages, bias_ua, Some(*input_ua)),
             JobSpec::DelayLineTran {
                 stages,
                 bias_ua,
                 input_ua,
                 ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(2);
-                    h.mix_u64(*stages as u64);
-                }
-            }
+            } => (2, stages, bias_ua, Some(*input_ua)),
             JobSpec::DelayLineAc {
                 stages,
                 bias_ua,
                 input_ua,
                 ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(3);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::SndrSweep { .. } => {
-                // No circuit behind it; all sweeps share one "structure".
-                h.mix_u64(4);
-            }
+            } => (3, stages, bias_ua, Some(*input_ua)),
             JobSpec::DelayLineDcBatch {
                 stages, bias_ua, ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, 0.0) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(5);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                if let Ok(circuit) = parse_netlist_canonical(netlist) {
-                    h.mix_u64(circuit.structure_fingerprint());
-                } else {
-                    h.mix_u64(6);
-                    h.mix_u64(netlist.len() as u64);
-                    h.mix_bytes(netlist.as_bytes());
-                }
-            }
+            } => (5, stages, bias_ua, None),
             JobSpec::TranStream {
                 stages,
                 bias_ua,
                 input_ua,
                 ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(7);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-        }
-        h.finish()
+            } => (7, stages, bias_ua, Some(*input_ua)),
+            JobSpec::SndrSweep { .. } | JobSpec::Netlist { .. } => return None,
+        };
+        Some(LineKnobs {
+            tag,
+            stages: *stages,
+            bias_ua: *bias_ua,
+            input_ua,
+        })
     }
 
     /// The kind tag used on the wire.
@@ -928,24 +836,17 @@ impl JobSpec {
         mut scenario_hook: Option<&mut dyn FnMut(usize)>,
     ) -> Result<JobOutput, ServiceError> {
         self.validate()?;
-        // Newton budget exhaustion is the one analog failure a retry can
-        // plausibly clear (warmer workspace, different gmin path), so it
-        // gets the retryable variant; everything else is permanent.
-        let analysis = |e: si_analog::AnalogError| match &e {
-            si_analog::AnalogError::NoConvergence { .. } => ServiceError::Transient(e.to_string()),
-            _ => ServiceError::Analysis(e.to_string()),
-        };
         match self {
             JobSpec::DelayLineDc {
                 stages,
                 bias_ua,
                 input_ua,
             } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
+                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis_error)?;
                 let sol = DcSolver::new()
                     .with_initial_guess(line.initial_guess.clone())
                     .solve_with(&line.circuit, ws)
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let values: Vec<f64> = line.stage_nodes.iter().map(|&n| sol.voltage(n).0).collect();
                 let v_in = values.first().copied().unwrap_or(0.0);
                 let v_out = values.last().copied().unwrap_or(0.0);
@@ -969,14 +870,13 @@ impl JobSpec {
                 dt_ns,
                 clock_hz,
             } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
-                let dt = Seconds(dt_ns * 1e-9);
-                let t_stop = Seconds(dt.0 * (*steps as f64));
-                let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).map_err(analysis)?;
-                let params = TranParams::new(t_stop, dt)
-                    .map_err(analysis)?
-                    .with_clock(clock);
-                let result = tran::run_with(&line.circuit, &params, ws).map_err(analysis)?;
+                let (line, params) =
+                    build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz)
+                        .map_err(analysis_error)?;
+                let op =
+                    tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
+                let (result, _) = tran::run_chunk_with(&line.circuit, &params, 0, *steps, &op, ws)
+                    .map_err(analysis_error)?;
                 // The output stage's full waveform is the cached value
                 // vector; summary metrics describe the run size.
                 let last = *line.stage_nodes.last().expect("stages >= 1");
@@ -998,13 +898,13 @@ impl JobSpec {
                 f_hi_hz,
                 points,
             } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
+                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis_error)?;
                 let op = DcSolver::new()
                     .with_initial_guess(line.initial_guess.clone())
                     .solve_with(&line.circuit, ws)
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let freqs = si_analog::ac::log_frequencies(*f_lo_hz, *f_hi_hz, *points)
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let resp = AcAnalysis::default()
                     .response_with(
                         &line.circuit,
@@ -1014,7 +914,7 @@ impl JobSpec {
                         &freqs,
                         ws,
                     )
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let values: Vec<f64> = resp.iter().map(|c| c.abs()).collect();
                 let dc_gain = values.first().copied().unwrap_or(0.0);
                 let bw = si_analog::ac::bandwidth_3db(&freqs, &resp).unwrap_or(f64::NAN);
@@ -1056,7 +956,7 @@ impl JobSpec {
                 // let BatchRun retune the source per scenario, so the whole
                 // batch shares one symbolic factorization and each Newton
                 // loop warm-starts from the nearest input current.
-                let line = build_line(*stages, *bias_ua, 0.0).map_err(analysis)?;
+                let line = build_line(*stages, *bias_ua, 0.0).map_err(analysis_error)?;
                 let solver = DcSolver::new();
                 let sols = BatchRun::new(inputs_ua.len())
                     .with_keys(inputs_ua.clone())
@@ -1072,7 +972,7 @@ impl JobSpec {
                         },
                         |ckt, start, ws| solver.solve_from_with(ckt, start, ws),
                     )
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let per_scenario = line.stage_nodes.len();
                 let mut values = Vec::with_capacity(sols.len() * per_scenario);
                 for sol in &sols {
@@ -1166,13 +1066,8 @@ impl JobSpec {
             ));
         };
         self.validate()?;
-        let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis_error)?;
-        let dt = Seconds(dt_ns * 1e-9);
-        let t_stop = Seconds(dt.0 * (*steps as f64));
-        let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).map_err(analysis_error)?;
-        let params = TranParams::new(t_stop, dt)
-            .map_err(analysis_error)?
-            .with_clock(clock);
+        let (line, params) = build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz)
+            .map_err(analysis_error)?;
         let solution =
             tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
         let acc = WelchAccumulator::new(*seg_len, STREAM_WINDOW)
@@ -1244,14 +1139,11 @@ impl JobSpec {
             return None;
         }
 
-        let line = build_line(*stages, *bias_ua, *input_ua).ok()?;
+        let (line, params) =
+            build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz).ok()?;
         if state_len != line.circuit.mna_dimension() {
             return None;
         }
-        let dt = Seconds(dt_ns * 1e-9);
-        let t_stop = Seconds(dt.0 * (*steps as f64));
-        let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).ok()?;
-        let params = TranParams::new(t_stop, dt).ok()?.with_clock(clock);
 
         let solution = Solution::new(
             checkpoint.values[..state_len].to_vec(),
@@ -1349,11 +1241,22 @@ const STREAM_WINDOW: Window = Window::Hann;
 /// Newton budget exhaustion is the one analog failure a retry can
 /// plausibly clear (warmer workspace, different gmin path), so it gets
 /// the retryable variant; everything else is permanent.
-fn analysis_error(e: si_analog::AnalogError) -> ServiceError {
+fn analysis_error(e: AnalogError) -> ServiceError {
     match &e {
-        si_analog::AnalogError::NoConvergence { .. } => ServiceError::Transient(e.to_string()),
+        AnalogError::NoConvergence { .. } => ServiceError::Transient(e.to_string()),
         _ => ServiceError::Analysis(e.to_string()),
     }
+}
+
+/// The delay-line knobs shared by the five line kinds.
+struct LineKnobs {
+    /// The kind's job-key tag.
+    tag: u64,
+    stages: usize,
+    bias_ua: f64,
+    /// The input the topology is built at; `None` for a batch, whose
+    /// topology is built at 0 µA and whose inputs are keyed per scenario.
+    input_ua: Option<f64>,
 }
 
 /// In-progress state of a [`JobSpec::TranStream`] execution: the built
@@ -1362,7 +1265,7 @@ fn analysis_error(e: si_analog::AnalogError) -> ServiceError {
 /// accumulator's running state.
 #[derive(Debug)]
 pub struct StreamState {
-    line: si_analog::cells::DelayLine,
+    line: DelayLine,
     params: TranParams,
     steps: usize,
     chunk_steps: usize,
@@ -1412,11 +1315,7 @@ impl StreamState {
 }
 
 /// Builds the delay line for the given knobs with the input source set.
-fn build_line(
-    stages: usize,
-    bias_ua: f64,
-    input_ua: f64,
-) -> Result<si_analog::cells::DelayLine, si_analog::AnalogError> {
+fn build_line(stages: usize, bias_ua: f64, input_ua: f64) -> Result<DelayLine, AnalogError> {
     let design = DelayLineDesign {
         stages,
         bias: Amps(bias_ua * 1e-6),
@@ -1426,6 +1325,24 @@ fn build_line(
     let mut line = design.build()?;
     set_current_source(&mut line.circuit, &line.input_source, Amps(input_ua * 1e-6))?;
     Ok(line)
+}
+
+/// Builds the delay line and its clocked transient parameters, shared by
+/// `delay_line_tran` and `tran_stream`.
+fn build_tran(
+    stages: usize,
+    bias_ua: f64,
+    input_ua: f64,
+    steps: usize,
+    dt_ns: f64,
+    clock_hz: f64,
+) -> Result<(DelayLine, TranParams), AnalogError> {
+    let line = build_line(stages, bias_ua, input_ua)?;
+    let dt = Seconds(dt_ns * 1e-9);
+    let t_stop = Seconds(dt.0 * (steps as f64));
+    let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0)?;
+    let params = TranParams::new(t_stop, dt)?.with_clock(clock);
+    Ok((line, params))
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 
 use si_analog::dc::DcSolver;
 use si_analog::device::TwoPhaseClock;
+use si_analog::engine::EngineWorkspace;
 use si_analog::op_report::OpReport;
 use si_analog::parse::parse_netlist;
-use si_analog::tran::{run_from, TranParams};
+use si_analog::tran::{run_chunk_with, TranParams};
 use si_analog::units::Seconds;
 
 const NETLIST: &str = "\
@@ -49,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Clock it: 1 MHz two-phase; watch the held output current on V3.
     let clock = TwoPhaseClock::new(Seconds(1e-6), 0.05)?;
     let params = TranParams::new(Seconds(4e-6), Seconds(2e-9))?.with_clock(clock);
-    let result = run_from(&circuit, &params, op)?;
+    let mut ws = EngineWorkspace::for_circuit(&circuit);
+    let (result, _) = run_chunk_with(&circuit, &params, 0, params.steps(), &op, &mut ws)?;
     let branch = circuit.branch_of("V3")?;
     println!("held output current at φ2 midpoints:");
     for (k, s) in result.sample_phi2_currents(branch)?.iter().enumerate() {

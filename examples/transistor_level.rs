@@ -7,8 +7,9 @@
 use si_analog::cells::ClassAbCellDesign;
 use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::device::TwoPhaseClock;
+use si_analog::engine::EngineWorkspace;
 use si_analog::smallsignal::port_conductance;
-use si_analog::tran::{run_from, TranParams};
+use si_analog::tran::{run_chunk_with, TranParams};
 use si_analog::units::{Amps, Seconds};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     set_current_source(&mut ckt, &cell.cell.input_source, Amps(4e-6))?;
     let clock = TwoPhaseClock::new(Seconds(1e-6), 0.05)?; // 1 MHz, slow & safe
     let params = TranParams::new(Seconds(4e-6), Seconds(2e-9))?.with_clock(clock);
-    let result = run_from(&ckt, &params, op)?;
+    let mut ws = EngineWorkspace::for_circuit(&ckt);
+    let (result, _) = run_chunk_with(&ckt, &params, 0, params.steps(), &op, &mut ws)?;
     let branch = ckt.branch_of(&cell.cell.output_ammeter)?;
     let samples = result.sample_phi2_currents(branch)?;
     println!("\nheld output current at φ2 midpoints (drive +4 µA):");

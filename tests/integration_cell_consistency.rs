@@ -100,7 +100,8 @@ fn cmff_netlist_and_behavioral_model_agree() {
 #[test]
 fn netlist_transient_hold_tracks_drive_like_behavioral_cell() {
     use si_analog::device::TwoPhaseClock;
-    use si_analog::tran::{run_from, TranParams};
+    use si_analog::engine::EngineWorkspace;
+    use si_analog::tran::{run_chunk_with, TranParams};
     use si_analog::units::Seconds;
 
     let cell = ClassAbCellDesign::default().build().unwrap();
@@ -116,7 +117,8 @@ fn netlist_transient_hold_tracks_drive_like_behavioral_cell() {
         let params = TranParams::new(Seconds(3e-6), Seconds(2e-9))
             .unwrap()
             .with_clock(clock);
-        let result = run_from(&ckt, &params, op.clone()).unwrap();
+        let mut ws = EngineWorkspace::for_circuit(&ckt);
+        let (result, _) = run_chunk_with(&ckt, &params, 0, params.steps(), &op, &mut ws).unwrap();
         let branch = ckt.branch_of(&cell.cell.output_ammeter).unwrap();
         result.sample_phi2_currents(branch).unwrap()[2].0
     };

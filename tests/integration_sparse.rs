@@ -150,7 +150,8 @@ fn delay_line_dc_and_transient_run_entirely_sparse_with_one_symbolic_analysis() 
     let params = TranParams::new(Seconds(20e-6), Seconds(50e-9))
         .unwrap()
         .with_clock(clock);
-    let result = tran::run_from_with(&circuit, &params, op, &mut ws).unwrap();
+    let (result, _) =
+        tran::run_chunk_with(&circuit, &params, 0, params.steps(), &op, &mut ws).unwrap();
     assert!(result.len() > 100, "transient actually stepped");
 
     let stats = ws.take_stats().unwrap();
