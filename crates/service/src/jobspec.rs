@@ -1777,4 +1777,129 @@ V1 in 0 3.3
         zero_done.metrics[3].1 = 0.0;
         assert!(spec.stream_resume(&zero_done).is_none());
     }
+
+    /// One valid wire document per kind, the base every message case edits.
+    const VALID_DOCS: &str = r#"
+{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}
+{"kind":"delay_line_tran","stages":3,"bias_ua":20,"input_ua":1,"steps":40,"dt_ns":50,"clock_hz":2e6}
+{"kind":"delay_line_ac","stages":2,"bias_ua":20,"input_ua":0.5,"f_lo_hz":1e3,"f_hi_hz":1e8,"points":5}
+{"kind":"sndr_sweep","full_scale_ua":6,"levels_db":[-40,-6]}
+{"kind":"delay_line_dc_batch","stages":3,"bias_ua":20,"inputs_ua":[0.5,1]}
+{"kind":"netlist","netlist":"R1 a 0 1k\n"}
+{"kind":"tran_stream","stages":3,"bias_ua":20,"input_ua":2,"steps":900,"dt_ns":50,"clock_hz":2e6,"chunk_steps":900,"seg_len":256}
+"#;
+
+    /// The valid document of `kind`.
+    fn valid_doc(kind: &str) -> &'static str {
+        let prefix = format!(r#"{{"kind":"{kind}""#);
+        VALID_DOCS
+            .lines()
+            .find(|doc| doc.starts_with(&prefix))
+            .unwrap()
+    }
+
+    /// The pairs of wire document `doc` with each edit applied:
+    /// `field=json` sets a field, `-field` removes it.
+    fn edited(doc: &str, edits: &[&str]) -> Vec<(String, Json)> {
+        let Json::Object(mut pairs) = crate::json::parse(doc).unwrap() else {
+            unreachable!("base documents are objects")
+        };
+        for edit in edits {
+            let (key, value) = match edit.strip_prefix('-') {
+                Some(key) => (key, None),
+                None => edit.split_once('=').map(|(k, v)| (k, Some(v))).unwrap(),
+            };
+            pairs.retain(|(k, _)| k != key);
+            pairs.extend(value.map(|v| (key.to_string(), crate::json::parse(v).unwrap())));
+        }
+        pairs
+    }
+
+    fn invalid_message(doc: &str, edits: &[&str]) -> String {
+        let doc = Json::Object(edited(doc, edits));
+        match JobSpec::from_json(&doc) {
+            Err(ServiceError::InvalidSpec(msg)) => msg,
+            other => panic!("expected InvalidSpec for {doc:?}, got {other:?}"),
+        }
+    }
+
+    /// Every `InvalidSpec` message a wire document can draw, one case per
+    /// line: `<kind> <edits…> => <message>`. Covers the reader errors,
+    /// each range and cross-field rule of `validate`, and which fault is
+    /// named first when several are present.
+    const MESSAGE_CASES: &str = r#"
+delay_line_dc -kind => missing "kind"
+delay_line_dc kind="nope" => unknown kind "nope"
+delay_line_dc stages=-1 => "stages" must be a non-negative integer
+delay_line_dc stages=2.5 => "stages" must be a non-negative integer
+delay_line_dc stages=1e16 => "stages" must be a non-negative integer
+delay_line_dc bias_ua="20" => missing numeric "bias_ua"
+sndr_sweep levels_db=3 => missing array "levels_db"
+sndr_sweep levels_db=[1,"x"] => levels_db entries must be numbers
+delay_line_dc_batch inputs_ua=[null] => inputs_ua entries must be numbers
+netlist netlist=3 => missing string "netlist"
+delay_line_dc stages=0 => stages must be in 1..=4096
+delay_line_tran stages=4097 => stages must be in 1..=4096
+delay_line_dc_batch stages=0 => stages must be in 1..=4096
+delay_line_dc bias_ua=0 => bias_ua must be positive
+delay_line_ac bias_ua=-1 => bias_ua must be positive
+tran_stream bias_ua=0 => bias_ua must be positive
+delay_line_tran steps=0 => steps must be in 1..=100000
+delay_line_tran steps=100001 => steps must be in 1..=100000
+delay_line_tran dt_ns=0 => dt_ns must be positive
+delay_line_tran clock_hz=-2e6 => clock_hz must be positive
+delay_line_ac f_lo_hz=0 => need 0 < f_lo_hz < f_hi_hz
+delay_line_ac f_hi_hz=1e3 => need 0 < f_lo_hz < f_hi_hz
+delay_line_ac points=1 => points must be in 2..=10000
+delay_line_ac points=10001 => points must be in 2..=10000
+sndr_sweep full_scale_ua=0 => full_scale_ua must be positive
+sndr_sweep levels_db=[-6] => levels_db needs 2..=256 entries
+sndr_sweep levels_db=[-6,1e999] => levels_db entries must be finite
+delay_line_dc_batch inputs_ua=[] => inputs_ua needs 1..=1024 entries
+delay_line_dc_batch inputs_ua=[1,-1e999] => inputs_ua entries must be finite
+tran_stream steps=0 => steps must be in 1..=1048576
+tran_stream steps=1048577 => steps must be in 1..=1048576
+tran_stream dt_ns=0 => dt_ns must be positive
+tran_stream clock_hz=0 => clock_hz must be positive
+tran_stream chunk_steps=0 => chunk_steps must be in 1..=steps
+tran_stream chunk_steps=901 => chunk_steps must be in 1..=steps
+tran_stream seg_len=1 => seg_len must be a power of two in 2..=65536
+tran_stream seg_len=255 => seg_len must be a power of two in 2..=65536
+tran_stream seg_len=131072 => seg_len must be a power of two in 2..=65536
+tran_stream seg_len=1024 => seg_len must not exceed steps + 1 (no complete segment would fit)
+delay_line_dc stages=0 bias_ua=0 => stages must be in 1..=4096
+delay_line_ac f_lo_hz=0 points=1 => need 0 < f_lo_hz < f_hi_hz
+tran_stream chunk_steps=0 seg_len=3 => chunk_steps must be in 1..=steps
+sndr_sweep full_scale_ua=0 levels_db=[] => full_scale_ua must be positive
+sndr_sweep -full_scale_ua -levels_db => missing array "levels_db"
+delay_line_dc_batch -stages -inputs_ua => missing array "inputs_ua"
+tran_stream -seg_len -stages => missing numeric "stages"
+"#;
+
+    #[test]
+    fn invalid_spec_messages_are_pinned() {
+        for doc in VALID_DOCS.lines().skip(1) {
+            let spec = JobSpec::from_json(&crate::json::parse(doc).unwrap()).unwrap();
+            let wire = spec.to_json().to_string_compact();
+            let parsed = JobSpec::from_json(&crate::json::parse(&wire).unwrap()).unwrap();
+            assert_eq!((parsed.job_key(), &parsed), (spec.job_key(), &spec));
+            // Each field of each kind, missing on its own, is named with
+            // the reader's message for its type.
+            for (field, value) in edited(doc, &[]).iter().skip(1) {
+                let expected = match value {
+                    Json::Array(_) => format!("missing array \"{field}\""),
+                    Json::String(_) => format!("missing string \"{field}\""),
+                    _ => format!("missing numeric \"{field}\""),
+                };
+                assert_eq!(invalid_message(doc, &[&format!("-{field}")]), expected);
+            }
+        }
+        for case in MESSAGE_CASES.lines().skip(1) {
+            let (doc, expected) = case.split_once(" => ").unwrap();
+            let mut words = doc.split(' ');
+            let base = valid_doc(words.next().unwrap());
+            let edits: Vec<&str> = words.collect();
+            assert_eq!(invalid_message(base, &edits), expected, "{case}");
+        }
+    }
 }

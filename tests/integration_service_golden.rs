@@ -1,7 +1,7 @@
 //! Golden wire-format test for the HTTP front end: the normalized
 //! `POST /v1/jobs` response and `/metrics` document are pinned as byte
 //! snapshots under `tests/golden/`, together with the job id, structure
-//! fingerprint and output digest of one small spec per job kind.
+//! fingerprint, output digest and wire text of one small spec per job kind.
 //!
 //! Job ids are the 16-hex-digit content hash of the spec and solver
 //! results are deterministic, so after [`normalize_timings`] strips the
@@ -238,6 +238,10 @@ fn job_identities_match_golden_snapshot() {
             (
                 "output".to_string(),
                 Json::String(format!("{:016x}", output_digest(&out))),
+            ),
+            (
+                "wire".to_string(),
+                Json::String(spec.to_json().to_string_compact()),
             ),
         ]);
         actual.push_str(&entry.to_string_compact());
