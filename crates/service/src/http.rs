@@ -1465,6 +1465,14 @@ mod tests {
         let bad_range = r#"{"kind":"delay_line_dc","stages":0,"bias_ua":20,"input_ua":1}"#;
         let (status, _) = http_request(addr, "POST", "/v1/jobs", Some(bad_range)).unwrap();
         assert_eq!(status, 400);
+        // `1e999` parses as +∞: a typed 400, not a solved waveform.
+        let infinite = r#"{"kind":"delay_line_tran","stages":3,"bias_ua":20,"input_ua":1,"steps":10,"dt_ns":1e999,"clock_hz":2e6}"#;
+        let (status, reply) = http_request(addr, "POST", "/v1/jobs", Some(infinite)).unwrap();
+        assert_eq!(
+            (status, reply.contains("dt_ns must be finite")),
+            (400, true),
+            "{reply}"
+        );
         server.shutdown();
     }
 

@@ -16,6 +16,7 @@ use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::device::switch::TwoPhaseClock;
 use si_analog::engine::{BatchRun, EngineWorkspace};
 use si_analog::mna::Solution;
+use si_analog::netlist::Circuit;
 use si_analog::parse::parse_netlist_canonical;
 use si_analog::tran::{self, TranParams};
 use si_analog::units::{Amps, Farads, Seconds, Volts};
@@ -207,118 +208,27 @@ pub struct JobOutput {
 impl JobSpec {
     /// Validates ranges that the constructors of the underlying analyses
     /// would reject anyway, but with a service-level error message that
-    /// maps to HTTP 400 instead of 422.
+    /// maps to HTTP 400 instead of 422. Every float field must also be
+    /// finite.
     ///
     /// # Errors
     ///
     /// [`ServiceError::InvalidSpec`] naming the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
-        let bad = |msg: &str| Err(ServiceError::InvalidSpec(msg.to_string()));
-        if let Some(line) = self.line_knobs() {
-            if line.stages == 0 || line.stages > 4096 {
-                return bad("stages must be in 1..=4096");
-            }
-            if !(line.bias_ua > 0.0) {
-                return bad("bias_ua must be positive");
-            }
-        }
-        match self {
-            JobSpec::DelayLineDc { .. } => {}
-            JobSpec::DelayLineTran {
-                steps,
-                dt_ns,
-                clock_hz,
-                ..
-            } => {
-                if *steps == 0 || *steps > 100_000 {
-                    return bad("steps must be in 1..=100000");
-                }
-                if !(*dt_ns > 0.0) {
-                    return bad("dt_ns must be positive");
-                }
-                if !(*clock_hz > 0.0) {
-                    return bad("clock_hz must be positive");
-                }
-            }
-            JobSpec::DelayLineAc {
-                f_lo_hz,
-                f_hi_hz,
-                points,
-                ..
-            } => {
-                if !(*f_lo_hz > 0.0) || !(*f_hi_hz > *f_lo_hz) {
-                    return bad("need 0 < f_lo_hz < f_hi_hz");
-                }
-                if *points < 2 || *points > 10_000 {
-                    return bad("points must be in 2..=10000");
-                }
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                if !(*full_scale_ua > 0.0) {
-                    return bad("full_scale_ua must be positive");
-                }
-                if levels_db.len() < 2 || levels_db.len() > 256 {
-                    return bad("levels_db needs 2..=256 entries");
-                }
-                if levels_db.iter().any(|l| !l.is_finite()) {
-                    return bad("levels_db entries must be finite");
-                }
-            }
-            JobSpec::DelayLineDcBatch { inputs_ua, .. } => {
-                if inputs_ua.is_empty() || inputs_ua.len() > 1024 {
-                    return bad("inputs_ua needs 1..=1024 entries");
-                }
-                if inputs_ua.iter().any(|i| !i.is_finite()) {
-                    return bad("inputs_ua entries must be finite");
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                // The strict parse *is* the validation: any malformed
-                // card, bad value, or unbuildable circuit comes back as a
-                // typed line/column error. Unlike the canned kinds, this
-                // maps to NetlistRejected (HTTP 422), not InvalidSpec —
-                // the request shape was fine, the circuit was not.
-                let circuit = parse_netlist_canonical(netlist)
-                    .map_err(|e| ServiceError::NetlistRejected(e.to_string()))?;
-                if circuit.elements().is_empty() {
-                    return Err(ServiceError::NetlistRejected(
-                        "netlist defines no elements".to_string(),
-                    ));
-                }
-            }
-            JobSpec::TranStream {
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-                ..
-            } => {
-                // Streaming exists for runs too long for one deadline, so
-                // the step cap is far above DelayLineTran's.
-                if *steps == 0 || *steps > 1_048_576 {
-                    return bad("steps must be in 1..=1048576");
-                }
-                if !(*dt_ns > 0.0) {
-                    return bad("dt_ns must be positive");
-                }
-                if !(*clock_hz > 0.0) {
-                    return bad("clock_hz must be positive");
-                }
-                if *chunk_steps == 0 || *chunk_steps > *steps {
-                    return bad("chunk_steps must be in 1..=steps");
-                }
-                if *seg_len < 2 || *seg_len > 65_536 || !seg_len.is_power_of_two() {
-                    return bad("seg_len must be a power of two in 2..=65536");
-                }
-                if *seg_len > *steps + 1 {
-                    return bad(
-                        "seg_len must not exceed steps + 1 (no complete segment would fit)",
-                    );
-                }
+        let schema = self.schema();
+        schema.fields.iter().try_for_each(check)?;
+        if let Source::Netlist(netlist) = schema.source {
+            // The strict parse *is* the validation: any malformed
+            // card, bad value, or unbuildable circuit comes back as a
+            // typed line/column error. Unlike the canned kinds, this
+            // maps to NetlistRejected (HTTP 422), not InvalidSpec —
+            // the request shape was fine, the circuit was not.
+            let circuit = parse_netlist_canonical(netlist)
+                .map_err(|e| ServiceError::NetlistRejected(e.to_string()))?;
+            if circuit.elements().is_empty() {
+                return Err(ServiceError::NetlistRejected(
+                    "netlist defines no elements".to_string(),
+                ));
             }
         }
         Ok(())
@@ -351,99 +261,27 @@ impl JobSpec {
     /// guarantees: retuning one element value moves the key, renaming a
     /// node does not. Analysis parameters that are not part of the
     /// netlist (step counts, frequency grids, deadlines excluded) are
-    /// mixed in afterwards.
+    /// mixed in afterwards, in wire order.
     #[must_use]
     pub fn job_key(&self) -> u64 {
+        let schema = self.schema();
+        let (circuit_fields, analysis) = schema.fields.split_at(schema.circuit_len);
         let mut h = Fnv1a::new();
-        if let Some(line) = self.line_knobs() {
-            h.mix_u64(line.tag);
-            // A batch fingerprints its shared topology once (input source
-            // at zero) and mixes the per-scenario inputs below.
-            match build_line(line.stages, line.bias_ua, line.input_ua.unwrap_or(0.0)) {
-                Ok(built) => {
-                    h.mix_u64(built.circuit.structure_fingerprint());
-                    h.mix_u64(built.circuit.value_fingerprint());
-                }
-                Err(_) => {
-                    // Invalid specs still need a stable (never-cached) key.
-                    h.mix_u64(line.stages as u64);
-                    h.mix_f64(line.bias_ua);
-                    if let Some(input_ua) = line.input_ua {
-                        h.mix_f64(input_ua);
-                    }
-                }
+        h.mix_u64(schema.tag);
+        // The canonical parse makes a netlist key text-representation
+        // independent: permuting cards or editing comments lands in the
+        // same cache slot, and run() executes the same canonical circuit,
+        // so sharing the slot is sound.
+        match schema.source.circuit() {
+            Ok(Some(circuit)) => {
+                h.mix_u64(circuit.structure_fingerprint());
+                h.mix_u64(circuit.value_fingerprint());
             }
+            Ok(None) => {}
+            // Invalid specs still need a stable (never-cached) key.
+            Err(()) => circuit_fields.iter().for_each(|f| f.1.mix(&mut h)),
         }
-        match self {
-            JobSpec::DelayLineDc { .. } => {}
-            JobSpec::DelayLineTran {
-                steps,
-                dt_ns,
-                clock_hz,
-                ..
-            } => {
-                h.mix_u64(*steps as u64);
-                h.mix_f64(*dt_ns);
-                h.mix_f64(*clock_hz);
-            }
-            JobSpec::DelayLineAc {
-                f_lo_hz,
-                f_hi_hz,
-                points,
-                ..
-            } => {
-                h.mix_f64(*f_lo_hz);
-                h.mix_f64(*f_hi_hz);
-                h.mix_u64(*points as u64);
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                h.mix_u64(4);
-                h.mix_f64(*full_scale_ua);
-                h.mix_u64(levels_db.len() as u64);
-                for &l in levels_db {
-                    h.mix_f64(l);
-                }
-            }
-            JobSpec::DelayLineDcBatch { inputs_ua, .. } => {
-                h.mix_u64(inputs_ua.len() as u64);
-                for &i in inputs_ua {
-                    h.mix_f64(i);
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                h.mix_u64(6);
-                // The canonical parse makes the key text-representation
-                // independent: permuting cards or editing comments lands
-                // in the same cache slot, and run() executes the same
-                // canonical circuit, so sharing the slot is sound.
-                if let Ok(circuit) = parse_netlist_canonical(netlist) {
-                    h.mix_u64(circuit.structure_fingerprint());
-                    h.mix_u64(circuit.value_fingerprint());
-                } else {
-                    // Unparsable text still needs a stable (never-cached)
-                    // key; hash the raw bytes.
-                    h.mix_u64(netlist.len() as u64);
-                    h.mix_bytes(netlist.as_bytes());
-                }
-            }
-            JobSpec::TranStream {
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-                ..
-            } => {
-                h.mix_u64(*steps as u64);
-                h.mix_f64(*dt_ns);
-                h.mix_f64(*clock_hz);
-                h.mix_u64(*chunk_steps as u64);
-                h.mix_u64(*seg_len as u64);
-            }
-        }
+        analysis.iter().for_each(|f| f.1.mix(&mut h));
         h.finish()
     }
 
@@ -474,101 +312,144 @@ impl JobSpec {
     ///
     /// Invalid specs (unbuildable lines, unparsable netlists) still get a
     /// stable fingerprint from their raw parameters so the router can
-    /// place them deterministically; they never reach a solver cache.
+    /// place them deterministically; they never reach a solver cache. A
+    /// sweep has no circuit behind it; all sweeps share one "structure".
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
-        // Generator-built circuits are fingerprinted through the same
-        // canonical netlist round trip as user submissions: emit the
-        // circuit, re-parse it canonically, fingerprint that. Without
-        // the round trip the generator's element order would hash
-        // differently from the canonical card order, and a netlist twin
-        // would land on a different shard than its generator job.
-        let canonical = |circuit: &si_analog::netlist::Circuit| {
-            si_analog::parse::to_netlist(circuit)
-                .ok()
-                .and_then(|text| parse_netlist_canonical(&text).ok())
-                .map_or_else(
-                    || circuit.structure_fingerprint(),
-                    |canon| canon.structure_fingerprint(),
-                )
-        };
+        let schema = self.schema();
         let mut h = Fnv1a::new();
-        if let Some(line) = self.line_knobs() {
-            match build_line(line.stages, line.bias_ua, line.input_ua.unwrap_or(0.0)) {
-                Ok(built) => h.mix_u64(canonical(&built.circuit)),
-                Err(_) => {
-                    h.mix_u64(line.tag);
-                    h.mix_u64(line.stages as u64);
+        match schema.source.circuit() {
+            // Generator-built circuits are fingerprinted through the same
+            // canonical netlist round trip as user submissions: emit the
+            // circuit, re-parse it canonically, fingerprint that. Without
+            // the round trip the generator's element order would hash
+            // differently from the canonical card order, and a netlist
+            // twin would land on a different shard than its generator job.
+            Ok(Some(circuit)) if matches!(schema.source, Source::Line(..)) => h.mix_u64(
+                si_analog::parse::to_netlist(&circuit)
+                    .ok()
+                    .and_then(|text| parse_netlist_canonical(&text).ok())
+                    .unwrap_or(circuit)
+                    .structure_fingerprint(),
+            ),
+            Ok(Some(circuit)) => h.mix_u64(circuit.structure_fingerprint()),
+            // No circuit: the kind tag, then the field that fixes the
+            // topology (a line's stage count, a netlist's text).
+            Ok(None) | Err(()) => {
+                h.mix_u64(schema.tag);
+                if schema.circuit_len > 0 {
+                    schema.fields[0].1.mix(&mut h);
                 }
             }
-        } else if let JobSpec::Netlist { netlist } = self {
-            if let Ok(circuit) = parse_netlist_canonical(netlist) {
-                h.mix_u64(circuit.structure_fingerprint());
-            } else {
-                h.mix_u64(6);
-                h.mix_u64(netlist.len() as u64);
-                h.mix_bytes(netlist.as_bytes());
-            }
-        } else {
-            // A sweep has no circuit behind it; all sweeps share one
-            // "structure".
-            h.mix_u64(4);
         }
         h.finish()
     }
 
-    /// The delay-line knobs of the five line kinds, `None` for the kinds
-    /// without a delay line.
-    fn line_knobs(&self) -> Option<LineKnobs> {
-        let (tag, stages, bias_ua, input_ua) = match self {
+    /// The kind's wire description: its tags, the circuit it solves and
+    /// every wire field in wire order with the rule the field obeys. This
+    /// is the one per-kind table the wire codec, the job key, the
+    /// structure fingerprint and [`JobSpec::validate`] all walk.
+    fn schema(&self) -> Schema<'_> {
+        match self {
             JobSpec::DelayLineDc {
                 stages,
                 bias_ua,
                 input_ua,
-            } => (1, stages, bias_ua, Some(*input_ua)),
+            } => {
+                let source = Source::Line(*stages, *bias_ua, Some(*input_ua));
+                Schema::new("delay_line_dc", 1, source, [])
+            }
             JobSpec::DelayLineTran {
                 stages,
                 bias_ua,
                 input_ua,
-                ..
-            } => (2, stages, bias_ua, Some(*input_ua)),
+                steps,
+                dt_ns,
+                clock_hz,
+            } => {
+                let source = Source::Line(*stages, *bias_ua, Some(*input_ua));
+                let tran = tran_fields(*steps, *dt_ns, *clock_hz, 100_000);
+                Schema::new("delay_line_tran", 2, source, tran)
+            }
             JobSpec::DelayLineAc {
                 stages,
                 bias_ua,
                 input_ua,
-                ..
-            } => (3, stages, bias_ua, Some(*input_ua)),
+                f_lo_hz,
+                f_hi_hz,
+                points,
+            } => {
+                let f_rule = Cross(
+                    *f_lo_hz > 0.0 && *f_hi_hz > *f_lo_hz,
+                    "need 0 < f_lo_hz < f_hi_hz",
+                );
+                let source = Source::Line(*stages, *bias_ua, Some(*input_ua));
+                let analysis = [
+                    ("f_lo_hz", Num(*f_lo_hz), f_rule),
+                    ("f_hi_hz", Num(*f_hi_hz), Any),
+                    ("points", Int(*points), Range(2, 10_000)),
+                ];
+                Schema::new("delay_line_ac", 3, source, analysis)
+            }
+            JobSpec::SndrSweep {
+                full_scale_ua,
+                levels_db,
+            } => {
+                let analysis = [
+                    ("full_scale_ua", Num(*full_scale_ua), Positive),
+                    ("levels_db", Nums(levels_db), Range(2, 256)),
+                ];
+                Schema::new("sndr_sweep", 4, Source::None, analysis)
+            }
             JobSpec::DelayLineDcBatch {
-                stages, bias_ua, ..
-            } => (5, stages, bias_ua, None),
+                stages,
+                bias_ua,
+                inputs_ua,
+            } => {
+                let source = Source::Line(*stages, *bias_ua, None);
+                let inputs = ("inputs_ua", Nums(inputs_ua), Range(1, 1024));
+                Schema::new("delay_line_dc_batch", 5, source, [inputs])
+            }
+            JobSpec::Netlist { netlist } => Schema::new("netlist", 6, Source::Netlist(netlist), []),
             JobSpec::TranStream {
                 stages,
                 bias_ua,
                 input_ua,
-                ..
-            } => (7, stages, bias_ua, Some(*input_ua)),
-            JobSpec::SndrSweep { .. } | JobSpec::Netlist { .. } => return None,
-        };
-        Some(LineKnobs {
-            tag,
-            stages: *stages,
-            bias_ua: *bias_ua,
-            input_ua,
-        })
+                steps,
+                dt_ns,
+                clock_hz,
+                chunk_steps,
+                seg_len,
+            } => {
+                let chunk_rule = Cross(
+                    (1..=*steps).contains(chunk_steps),
+                    "chunk_steps must be in 1..=steps",
+                );
+                let seg_rule = if !(2..=65_536).contains(seg_len) || !seg_len.is_power_of_two() {
+                    Cross(false, "seg_len must be a power of two in 2..=65536")
+                } else {
+                    Cross(
+                        *seg_len <= steps.saturating_add(1),
+                        "seg_len must not exceed steps + 1 (no complete segment would fit)",
+                    )
+                };
+                let source = Source::Line(*stages, *bias_ua, Some(*input_ua));
+                // Streaming exists for runs too long for one deadline, so
+                // the step cap is far above delay_line_tran's.
+                let tran = tran_fields(*steps, *dt_ns, *clock_hz, 1_048_576);
+                let analysis = tran.into_iter().chain([
+                    ("chunk_steps", Int(*chunk_steps), chunk_rule),
+                    ("seg_len", Int(*seg_len), seg_rule),
+                ]);
+                Schema::new("tran_stream", 7, source, analysis)
+            }
+        }
     }
 
     /// The kind tag used on the wire.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            JobSpec::DelayLineDc { .. } => "delay_line_dc",
-            JobSpec::DelayLineTran { .. } => "delay_line_tran",
-            JobSpec::DelayLineAc { .. } => "delay_line_ac",
-            JobSpec::SndrSweep { .. } => "sndr_sweep",
-            JobSpec::DelayLineDcBatch { .. } => "delay_line_dc_batch",
-            JobSpec::Netlist { .. } => "netlist",
-            JobSpec::TranStream { .. } => "tran_stream",
-        }
+        self.schema().kind
     }
 
     /// Whether this spec runs as a streaming job: chunked execution,
@@ -608,15 +489,16 @@ impl JobSpec {
     /// [`ServiceError::InvalidSpec`] for unknown kinds, missing fields, or
     /// out-of-range values (via [`JobSpec::validate`]).
     pub fn from_json(v: &Json) -> Result<JobSpec, ServiceError> {
-        let invalid = |msg: String| ServiceError::InvalidSpec(msg);
+        let invalid = ServiceError::InvalidSpec;
+        let missing = |what: &str, key: &str| invalid(format!("missing {what} \"{key}\""));
         let kind = v
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| invalid("missing \"kind\"".to_string()))?;
-        let num = |key: &str| -> Result<f64, ServiceError> {
+        let num = |key: &str| {
             v.get(key)
                 .and_then(Json::as_f64)
-                .ok_or_else(|| invalid(format!("missing numeric \"{key}\"")))
+                .ok_or_else(|| missing("numeric", key))
         };
         let int = |key: &str| -> Result<usize, ServiceError> {
             let n = num(key)?;
@@ -625,82 +507,90 @@ impl JobSpec {
             }
             Ok(n as usize)
         };
+        let nums = |key: &str| -> Result<Vec<f64>, ServiceError> {
+            let entries = v.get(key).and_then(Json::as_array);
+            let not_number = || invalid(format!("{key} entries must be numbers"));
+            let entries = entries.ok_or_else(|| missing("array", key))?.iter();
+            entries.map(|e| e.as_f64().ok_or_else(not_number)).collect()
+        };
+        let text = |key: &str| {
+            let text = v.get(key).and_then(Json::as_str);
+            text.map(str::to_string)
+                .ok_or_else(|| missing("string", key))
+        };
+        // The delay-line prefix: `stages`, `bias_ua` and — unless the kind
+        // is a batch, whose inputs are an analysis array — `input_ua`.
+        let line = |with_input: bool| -> Result<(usize, f64, f64), ServiceError> {
+            let (stages, bias_ua) = (int("stages")?, num("bias_ua")?);
+            let input_ua = if with_input { num("input_ua")? } else { 0.0 };
+            Ok((stages, bias_ua, input_ua))
+        };
+        let tran = || Ok::<_, ServiceError>((int("steps")?, num("dt_ns")?, num("clock_hz")?));
         let spec = match kind {
-            "delay_line_dc" => JobSpec::DelayLineDc {
-                stages: int("stages")?,
-                bias_ua: num("bias_ua")?,
-                input_ua: num("input_ua")?,
-            },
-            "delay_line_tran" => JobSpec::DelayLineTran {
-                stages: int("stages")?,
-                bias_ua: num("bias_ua")?,
-                input_ua: num("input_ua")?,
-                steps: int("steps")?,
-                dt_ns: num("dt_ns")?,
-                clock_hz: num("clock_hz")?,
-            },
-            "delay_line_ac" => JobSpec::DelayLineAc {
-                stages: int("stages")?,
-                bias_ua: num("bias_ua")?,
-                input_ua: num("input_ua")?,
-                f_lo_hz: num("f_lo_hz")?,
-                f_hi_hz: num("f_hi_hz")?,
-                points: int("points")?,
-            },
+            "delay_line_dc" => {
+                let (stages, bias_ua, input_ua) = line(true)?;
+                JobSpec::DelayLineDc {
+                    stages,
+                    bias_ua,
+                    input_ua,
+                }
+            }
+            "delay_line_tran" => {
+                let (stages, bias_ua, input_ua) = line(true)?;
+                let (steps, dt_ns, clock_hz) = tran()?;
+                JobSpec::DelayLineTran {
+                    stages,
+                    bias_ua,
+                    input_ua,
+                    steps,
+                    dt_ns,
+                    clock_hz,
+                }
+            }
+            "delay_line_ac" => {
+                let (stages, bias_ua, input_ua) = line(true)?;
+                JobSpec::DelayLineAc {
+                    stages,
+                    bias_ua,
+                    input_ua,
+                    f_lo_hz: num("f_lo_hz")?,
+                    f_hi_hz: num("f_hi_hz")?,
+                    points: int("points")?,
+                }
+            }
             "sndr_sweep" => {
-                let levels = v
-                    .get("levels_db")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| invalid("missing array \"levels_db\"".to_string()))?;
-                let levels_db = levels
-                    .iter()
-                    .map(|l| {
-                        l.as_f64()
-                            .ok_or_else(|| invalid("levels_db entries must be numbers".to_string()))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let levels_db = nums("levels_db")?;
                 JobSpec::SndrSweep {
                     full_scale_ua: num("full_scale_ua")?,
                     levels_db,
                 }
             }
             "delay_line_dc_batch" => {
-                let inputs = v
-                    .get("inputs_ua")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| invalid("missing array \"inputs_ua\"".to_string()))?;
-                let inputs_ua = inputs
-                    .iter()
-                    .map(|l| {
-                        l.as_f64()
-                            .ok_or_else(|| invalid("inputs_ua entries must be numbers".to_string()))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let inputs_ua = nums("inputs_ua")?;
+                let (stages, bias_ua, _) = line(false)?;
                 JobSpec::DelayLineDcBatch {
-                    stages: int("stages")?,
-                    bias_ua: num("bias_ua")?,
+                    stages,
+                    bias_ua,
                     inputs_ua,
                 }
             }
-            "netlist" => {
-                let text = v
-                    .get("netlist")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| invalid("missing string \"netlist\"".to_string()))?;
-                JobSpec::Netlist {
-                    netlist: text.to_string(),
+            "netlist" => JobSpec::Netlist {
+                netlist: text("netlist")?,
+            },
+            "tran_stream" => {
+                let (stages, bias_ua, input_ua) = line(true)?;
+                let (steps, dt_ns, clock_hz) = tran()?;
+                JobSpec::TranStream {
+                    stages,
+                    bias_ua,
+                    input_ua,
+                    steps,
+                    dt_ns,
+                    clock_hz,
+                    chunk_steps: int("chunk_steps")?,
+                    seg_len: int("seg_len")?,
                 }
             }
-            "tran_stream" => JobSpec::TranStream {
-                stages: int("stages")?,
-                bias_ua: num("bias_ua")?,
-                input_ua: num("input_ua")?,
-                steps: int("steps")?,
-                dt_ns: num("dt_ns")?,
-                clock_hz: num("clock_hz")?,
-                chunk_steps: int("chunk_steps")?,
-                seg_len: int("seg_len")?,
-            },
             other => return Err(invalid(format!("unknown kind {other:?}"))),
         };
         // Canned kinds are validated eagerly so a bad wire document is a
@@ -717,93 +607,13 @@ impl JobSpec {
     /// Serializes the spec back to its wire form.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("kind".to_string(), Json::String(self.kind().to_string()))];
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-            }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("steps".to_string(), Json::Number(*steps as f64)));
-                pairs.push(("dt_ns".to_string(), Json::Number(*dt_ns)));
-                pairs.push(("clock_hz".to_string(), Json::Number(*clock_hz)));
-            }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("f_lo_hz".to_string(), Json::Number(*f_lo_hz)));
-                pairs.push(("f_hi_hz".to_string(), Json::Number(*f_hi_hz)));
-                pairs.push(("points".to_string(), Json::Number(*points as f64)));
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                pairs.push(("full_scale_ua".to_string(), Json::Number(*full_scale_ua)));
-                pairs.push((
-                    "levels_db".to_string(),
-                    Json::Array(levels_db.iter().map(|&l| Json::Number(l)).collect()),
-                ));
-            }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push((
-                    "inputs_ua".to_string(),
-                    Json::Array(inputs_ua.iter().map(|&l| Json::Number(l)).collect()),
-                ));
-            }
-            JobSpec::Netlist { netlist } => {
-                pairs.push(("netlist".to_string(), Json::String(netlist.clone())));
-            }
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("steps".to_string(), Json::Number(*steps as f64)));
-                pairs.push(("dt_ns".to_string(), Json::Number(*dt_ns)));
-                pairs.push(("clock_hz".to_string(), Json::Number(*clock_hz)));
-                pairs.push(("chunk_steps".to_string(), Json::Number(*chunk_steps as f64)));
-                pairs.push(("seg_len".to_string(), Json::Number(*seg_len as f64)));
-            }
-        }
-        Json::Object(pairs)
+        let schema = self.schema();
+        let kind = ("kind".to_string(), Json::String(schema.kind.to_string()));
+        let fields = schema
+            .fields
+            .iter()
+            .map(|(name, value, _)| (name.to_string(), value.to_json()));
+        Json::Object(std::iter::once(kind).chain(fields).collect())
     }
 
     /// Executes the job on the given workspace. Deterministic: identical
@@ -1050,33 +860,20 @@ impl JobSpec {
         &self,
         ws: &mut EngineWorkspace,
     ) -> Result<StreamState, ServiceError> {
-        let JobSpec::TranStream {
-            stages,
-            bias_ua,
-            input_ua,
-            steps,
-            dt_ns,
-            clock_hz,
-            chunk_steps,
-            seg_len,
-        } = self
-        else {
-            return Err(ServiceError::Internal(
-                "stream_start on a non-streaming spec".to_string(),
-            ));
-        };
         self.validate()?;
-        let (line, params) = build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz)
-            .map_err(analysis_error)?;
+        let (built, steps, chunk_steps, seg_len) = self
+            .stream_parts()
+            .ok_or_else(|| ServiceError::Internal("stream_start on a non-streaming spec".into()))?;
+        let (line, params) = built.map_err(analysis_error)?;
         let solution =
             tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
-        let acc = WelchAccumulator::new(*seg_len, STREAM_WINDOW)
+        let acc = WelchAccumulator::new(seg_len, STREAM_WINDOW)
             .map_err(|e| ServiceError::InvalidSpec(e.to_string()))?;
         Ok(StreamState {
             line,
             params,
-            steps: *steps,
-            chunk_steps: *chunk_steps,
+            steps,
+            chunk_steps,
             solution,
             acc,
             chunks_done: 0,
@@ -1088,6 +885,65 @@ impl JobSpec {
     /// the checkpoint does not match this spec: wrong version, wrong job
     /// key, wrong chunking or Welch geometry, or inconsistent lengths.
     pub(crate) fn stream_resume(&self, checkpoint: &JobOutput) -> Option<StreamState> {
+        let (built, steps, chunk_steps, seg_len) = self.stream_parts()?;
+        let int = |name: &str| {
+            let (_, v) = checkpoint.metrics.iter().find(|(k, _)| k == name)?;
+            (v.fract() == 0.0 && *v >= 0.0 && *v < 9e15).then_some(*v as u64)
+        };
+        if int("ckpt_version")? != CHECKPOINT_VERSION {
+            return None;
+        }
+        let key = self.job_key();
+        if int("key_hi")? != key >> 32 || int("key_lo")? != key & 0xffff_ffff {
+            return None;
+        }
+        let chunks_total = steps.div_ceil(chunk_steps) as u64;
+        if int("chunks_total")? != chunks_total {
+            return None;
+        }
+        let chunks_done = int("chunks_done")? as usize;
+        if chunks_done == 0 || chunks_done as u64 > chunks_total {
+            return None;
+        }
+        if int("seg_len")? != seg_len as u64 {
+            return None;
+        }
+        let state_len = int("state_len")? as usize;
+        let segments = int("welch_segments")? as usize;
+        let tail_len = int("welch_tail_len")? as usize;
+        let sum_len = seg_len / 2 + 1;
+        if checkpoint.values.len() != state_len + sum_len + tail_len {
+            return None;
+        }
+
+        let (line, params) = built.ok()?;
+        if state_len != line.circuit.mna_dimension() {
+            return None;
+        }
+
+        let solution = Solution::new(
+            checkpoint.values[..state_len].to_vec(),
+            line.circuit.node_count(),
+        );
+        let sum = checkpoint.values[state_len..state_len + sum_len].to_vec();
+        let tail = checkpoint.values[state_len + sum_len..].to_vec();
+        let acc = WelchAccumulator::resume(seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
+        Some(StreamState {
+            line,
+            params,
+            steps,
+            chunk_steps,
+            solution,
+            acc,
+            chunks_done,
+        })
+    }
+
+    /// The one unpacking of a `tran_stream` spec, shared by
+    /// `stream_start` and `stream_resume`: its delay line and transient
+    /// parameters, built, then `steps`, `chunk_steps` and `seg_len`.
+    /// `None` for every other kind.
+    fn stream_parts(&self) -> Option<(Result<Transient, AnalogError>, usize, usize, usize)> {
         let JobSpec::TranStream {
             stages,
             bias_ua,
@@ -1101,66 +957,8 @@ impl JobSpec {
         else {
             return None;
         };
-        let metric = |name: &str| {
-            checkpoint
-                .metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-        };
-        let int = |name: &str| {
-            metric(name)
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0 && *v < 9e15)
-                .map(|v| v as u64)
-        };
-        if int("ckpt_version")? != CHECKPOINT_VERSION {
-            return None;
-        }
-        let key = self.job_key();
-        if int("key_hi")? != key >> 32 || int("key_lo")? != key & 0xffff_ffff {
-            return None;
-        }
-        let chunks_total = steps.div_ceil(*chunk_steps) as u64;
-        if int("chunks_total")? != chunks_total {
-            return None;
-        }
-        let chunks_done = int("chunks_done")? as usize;
-        if chunks_done == 0 || chunks_done as u64 > chunks_total {
-            return None;
-        }
-        if int("seg_len")? != *seg_len as u64 {
-            return None;
-        }
-        let state_len = int("state_len")? as usize;
-        let segments = int("welch_segments")? as usize;
-        let tail_len = int("welch_tail_len")? as usize;
-        let sum_len = seg_len / 2 + 1;
-        if checkpoint.values.len() != state_len + sum_len + tail_len {
-            return None;
-        }
-
-        let (line, params) =
-            build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz).ok()?;
-        if state_len != line.circuit.mna_dimension() {
-            return None;
-        }
-
-        let solution = Solution::new(
-            checkpoint.values[..state_len].to_vec(),
-            line.circuit.node_count(),
-        );
-        let sum = checkpoint.values[state_len..state_len + sum_len].to_vec();
-        let tail = checkpoint.values[state_len + sum_len..].to_vec();
-        let acc = WelchAccumulator::resume(*seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
-        Some(StreamState {
-            line,
-            params,
-            steps: *steps,
-            chunk_steps: *chunk_steps,
-            solution,
-            acc,
-            chunks_done,
-        })
+        let built = build_tran(*stages, *bias_ua, *input_ua, *steps, *dt_ns, *clock_hz);
+        Some((built, *steps, *chunk_steps, *seg_len))
     }
 
     /// Advances a streaming run by one chunk: solves the next
@@ -1248,15 +1046,163 @@ fn analysis_error(e: AnalogError) -> ServiceError {
     }
 }
 
-/// The delay-line knobs shared by the five line kinds.
-struct LineKnobs {
-    /// The kind's job-key tag.
+/// One kind's wire description, built by [`JobSpec::schema`].
+struct Schema<'a> {
+    /// The wire kind tag.
+    kind: &'static str,
+    /// The kind's number, mixed first into its job key and into a
+    /// structure fingerprint that has no circuit to hash.
     tag: u64,
-    stages: usize,
-    bias_ua: f64,
-    /// The input the topology is built at; `None` for a batch, whose
-    /// topology is built at 0 µA and whose inputs are keyed per scenario.
-    input_ua: Option<f64>,
+    source: Source<'a>,
+    /// Every wire field in wire order: the `circuit_len` fields that
+    /// describe the circuit, then the analysis parameters.
+    fields: Vec<Field<'a>>,
+    circuit_len: usize,
+}
+
+impl<'a> Schema<'a> {
+    fn new(
+        kind: &'static str,
+        tag: u64,
+        source: Source<'a>,
+        analysis: impl IntoIterator<Item = Field<'a>>,
+    ) -> Self {
+        let mut fields = match source {
+            Source::None => Vec::new(),
+            // The delay-line prefix shared by the five line kinds.
+            Source::Line(stages, bias_ua, input_ua) => {
+                let mut prefix = vec![
+                    ("stages", Int(stages), Range(1, 4096)),
+                    ("bias_ua", Num(bias_ua), Positive),
+                ];
+                prefix.extend(input_ua.map(|v| ("input_ua", Num(v), Any)));
+                prefix
+            }
+            Source::Netlist(text) => vec![("netlist", Text(text), Any)],
+        };
+        let circuit_len = fields.len();
+        fields.extend(analysis);
+        Schema {
+            kind,
+            tag,
+            source,
+            fields,
+            circuit_len,
+        }
+    }
+}
+
+/// The circuit behind a job kind.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The kind solves no circuit (the ΔΣ sweep).
+    None,
+    /// A generated delay line: `stages`, `bias_ua` and `input_ua`, which
+    /// is `None` for a batch, whose topology is built at 0 µA and whose
+    /// inputs are analysis fields.
+    Line(usize, f64, Option<f64>),
+    /// A user netlist, parsed canonically.
+    Netlist(&'a str),
+}
+
+impl Source<'_> {
+    /// Builds the circuit: `Ok(None)` for a kind without one, `Err` when
+    /// the fields do not describe a buildable circuit.
+    fn circuit(self) -> Result<Option<Circuit>, ()> {
+        match self {
+            Source::None => Ok(None),
+            Source::Line(stages, bias_ua, input_ua) => {
+                build_line(stages, bias_ua, input_ua.unwrap_or(0.0))
+                    .map(|line| Some(line.circuit))
+                    .map_err(drop)
+            }
+            Source::Netlist(text) => parse_netlist_canonical(text).map(Some).map_err(drop),
+        }
+    }
+}
+
+/// One wire field: its name, its value and the rule the value obeys.
+type Field<'a> = (&'static str, Value<'a>, Check);
+
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Int(usize),
+    Num(f64),
+    Nums(&'a [f64]),
+    Text(&'a str),
+}
+use Value::{Int, Num, Nums, Text};
+
+/// The rule a field's value obeys. Every float, and every array entry,
+/// must also be finite.
+#[derive(Clone, Copy)]
+enum Check {
+    Any,
+    Positive,
+    /// An integer in `lo..=hi`, or an array with `lo..=hi` entries.
+    Range(usize, usize),
+    /// A rule tying the field to another one, evaluated when the schema
+    /// is built: whether it holds, and the message to report if not.
+    Cross(bool, &'static str),
+}
+use Check::{Any, Cross, Positive, Range};
+
+/// Applies a field's rule, then the finiteness rule.
+fn check(&(name, value, rule): &Field) -> Result<(), ServiceError> {
+    let message = match (rule, value) {
+        (Positive, Num(v)) if !(v > 0.0) => format!("{name} must be positive"),
+        (Range(lo, hi), Int(n)) if !(lo..=hi).contains(&n) => {
+            format!("{name} must be in {lo}..={hi}")
+        }
+        (Range(lo, hi), Nums(v)) if !(lo..=hi).contains(&v.len()) => {
+            format!("{name} needs {lo}..={hi} entries")
+        }
+        (Cross(false, message), _) => message.to_string(),
+        (_, Num(v)) if !v.is_finite() => format!("{name} must be finite"),
+        (_, Nums(v)) if v.iter().any(|x| !x.is_finite()) => {
+            format!("{name} entries must be finite")
+        }
+        _ => return Ok(()),
+    };
+    Err(ServiceError::InvalidSpec(message))
+}
+
+/// The transient fields shared by `delay_line_tran` and `tran_stream`,
+/// which differ only in their step cap.
+fn tran_fields(steps: usize, dt_ns: f64, clock_hz: f64, max_steps: usize) -> [Field<'static>; 3] {
+    [
+        ("steps", Int(steps), Range(1, max_steps)),
+        ("dt_ns", Num(dt_ns), Positive),
+        ("clock_hz", Num(clock_hz), Positive),
+    ]
+}
+
+impl Value<'_> {
+    /// Mixes the value into a job key: an integer as a `u64`, a float
+    /// through its bits, an array or text as its length, then each item.
+    fn mix(self, h: &mut Fnv1a) {
+        match self {
+            Int(n) => h.mix_u64(n as u64),
+            Num(v) => h.mix_f64(v),
+            Nums(values) => {
+                h.mix_u64(values.len() as u64);
+                values.iter().for_each(|&v| h.mix_f64(v));
+            }
+            Text(text) => {
+                h.mix_u64(text.len() as u64);
+                h.mix_bytes(text.as_bytes());
+            }
+        }
+    }
+
+    fn to_json(self) -> Json {
+        match self {
+            Int(n) => Json::Number(n as f64),
+            Num(v) => Json::Number(v),
+            Nums(values) => Json::Array(values.iter().map(|&v| Json::Number(v)).collect()),
+            Text(text) => Json::String(text.to_string()),
+        }
+    }
 }
 
 /// In-progress state of a [`JobSpec::TranStream`] execution: the built
@@ -1327,6 +1273,9 @@ fn build_line(stages: usize, bias_ua: f64, input_ua: f64) -> Result<DelayLine, A
     Ok(line)
 }
 
+/// A delay line with its clocked transient parameters.
+type Transient = (DelayLine, TranParams);
+
 /// Builds the delay line and its clocked transient parameters, shared by
 /// `delay_line_tran` and `tran_stream`.
 fn build_tran(
@@ -1336,7 +1285,7 @@ fn build_tran(
     steps: usize,
     dt_ns: f64,
     clock_hz: f64,
-) -> Result<(DelayLine, TranParams), AnalogError> {
+) -> Result<Transient, AnalogError> {
     let line = build_line(stages, bias_ua, input_ua)?;
     let dt = Seconds(dt_ns * 1e-9);
     let t_stop = Seconds(dt.0 * (steps as f64));
@@ -1390,51 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_key() {
-        let specs = vec![
-            dc_spec(),
-            JobSpec::DelayLineTran {
-                stages: 3,
-                bias_ua: 20.0,
-                input_ua: 1.0,
-                steps: 8,
-                dt_ns: 100.0,
-                clock_hz: 1e6,
-            },
-            JobSpec::DelayLineAc {
-                stages: 2,
-                bias_ua: 20.0,
-                input_ua: 0.0,
-                f_lo_hz: 1e3,
-                f_hi_hz: 1e8,
-                points: 5,
-            },
-            JobSpec::SndrSweep {
-                full_scale_ua: 6.0,
-                levels_db: vec![-40.0, -20.0, -6.0],
-            },
-        ];
-        for spec in specs {
-            let wire = spec.to_json().to_string_compact();
-            let parsed = JobSpec::from_json(&crate::json::parse(&wire).unwrap()).unwrap();
-            assert_eq!(parsed, spec);
-            assert_eq!(parsed.job_key(), spec.job_key());
-        }
-    }
-
-    #[test]
-    fn invalid_specs_are_rejected_with_typed_error() {
-        let bad = JobSpec::DelayLineDc {
-            stages: 0,
-            bias_ua: 20.0,
-            input_ua: 0.0,
-        };
-        assert!(matches!(bad.validate(), Err(ServiceError::InvalidSpec(_))));
-        let parse_err = JobSpec::from_json(&crate::json::parse(r#"{"kind":"nope"}"#).unwrap());
-        assert!(matches!(parse_err, Err(ServiceError::InvalidSpec(_))));
-    }
-
-    #[test]
     fn dc_job_runs_and_is_deterministic() {
         let spec = dc_spec();
         let mut ws1 = EngineWorkspace::new();
@@ -1474,19 +1378,6 @@ mod tests {
         };
         assert_ne!(single.job_key(), batch_spec(&[2.0]).job_key());
         assert_eq!(single.scenario_count(), 1);
-    }
-
-    #[test]
-    fn batch_spec_validates_inputs() {
-        assert!(matches!(
-            batch_spec(&[]).validate(),
-            Err(ServiceError::InvalidSpec(_))
-        ));
-        assert!(matches!(
-            batch_spec(&[f64::NAN]).validate(),
-            Err(ServiceError::InvalidSpec(_))
-        ));
-        assert!(batch_spec(&[0.5]).validate().is_ok());
     }
 
     #[test]
@@ -1678,19 +1569,6 @@ V1 in 0 3.3
     }
 
     #[test]
-    fn stream_spec_validates_chunking_and_segment_length() {
-        assert!(stream_spec_with(900, 0, 256).validate().is_err());
-        assert!(stream_spec_with(900, 901, 256).validate().is_err());
-        // Not a power of two.
-        assert!(stream_spec_with(900, 128, 255).validate().is_err());
-        // Longer than the waveform (steps + 1 samples).
-        assert!(stream_spec_with(900, 128, 1024).validate().is_err());
-        assert!(stream_spec_with(0, 1, 2).validate().is_err());
-        // One-chunk streams are legal.
-        assert!(stream_spec_with(900, 900, 256).validate().is_ok());
-    }
-
-    #[test]
     fn stream_run_is_deterministic_and_reports_chunks() {
         let spec = stream_spec();
         let mut ws1 = EngineWorkspace::new();
@@ -1825,8 +1703,8 @@ V1 in 0 3.3
 
     /// Every `InvalidSpec` message a wire document can draw, one case per
     /// line: `<kind> <edits…> => <message>`. Covers the reader errors,
-    /// each range and cross-field rule of `validate`, and which fault is
-    /// named first when several are present.
+    /// each range, cross-field and finiteness rule of `validate`, and
+    /// which fault is named first when several are present.
     const MESSAGE_CASES: &str = r#"
 delay_line_dc -kind => missing "kind"
 delay_line_dc kind="nope" => unknown kind "nope"
@@ -1867,6 +1745,9 @@ tran_stream seg_len=1 => seg_len must be a power of two in 2..=65536
 tran_stream seg_len=255 => seg_len must be a power of two in 2..=65536
 tran_stream seg_len=131072 => seg_len must be a power of two in 2..=65536
 tran_stream seg_len=1024 => seg_len must not exceed steps + 1 (no complete segment would fit)
+delay_line_dc input_ua=-1e999 => input_ua must be finite
+delay_line_tran dt_ns=1e999 => dt_ns must be finite
+delay_line_ac f_lo_hz=1e999 => need 0 < f_lo_hz < f_hi_hz
 delay_line_dc stages=0 bias_ua=0 => stages must be in 1..=4096
 delay_line_ac f_lo_hz=0 points=1 => need 0 < f_lo_hz < f_hi_hz
 tran_stream chunk_steps=0 seg_len=3 => chunk_steps must be in 1..=steps
@@ -1892,6 +1773,19 @@ tran_stream -seg_len -stages => missing numeric "stages"
                     _ => format!("missing numeric \"{field}\""),
                 };
                 assert_eq!(invalid_message(doc, &[&format!("-{field}")]), expected);
+                // `1e999` parses as +∞: every numeric field and array
+                // entry of every kind must be finite, or the spec is a
+                // 400 naming the field — never a silently wrong solve or
+                // a retried `Transient`.
+                for inf in ["1e999", "-1e999"] {
+                    let edit = match value {
+                        Json::Array(_) => format!("{field}=[1,{inf}]"),
+                        Json::Number(_) => format!("{field}={inf}"),
+                        _ => continue,
+                    };
+                    let msg = invalid_message(doc, &[&edit]);
+                    assert!(msg.contains(field.as_str()), "{doc} {edit}: {msg}");
+                }
             }
         }
         for case in MESSAGE_CASES.lines().skip(1) {
@@ -1901,5 +1795,20 @@ tran_stream -seg_len -stages => missing numeric "stages"
             let edits: Vec<&str> = words.collect();
             assert_eq!(invalid_message(base, &edits), expected, "{case}");
         }
+        // NaN cannot travel on the wire; validate and run refuse it too.
+        let nan_input = JobSpec::DelayLineDc {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: f64::NAN,
+        };
+        let expected = ServiceError::InvalidSpec("input_ua must be finite".into());
+        assert_eq!(nan_input.validate().unwrap_err(), expected);
+        let mut ws = EngineWorkspace::new();
+        assert_eq!(nan_input.run(&mut ws).unwrap_err(), expected);
+        let nan_entry = batch_spec(&[0.5, f64::NAN]).validate().unwrap_err();
+        assert_eq!(
+            nan_entry.to_string(),
+            "invalid job spec: inputs_ua entries must be finite"
+        );
     }
 }
