@@ -166,7 +166,8 @@ pub const DEFAULT_BLOCK: usize = 32;
 ///
 /// Where [`parallel_map`] hands the closure one item at a time,
 /// `parallel_map_batched` hands it a whole block (`f(&mut state, block,
-/// block_start)` returning one result per block item). The closure is free
+/// block_start)` returning one result per block item); it is itself a
+/// [`parallel_map`] over the block starts. The closure is free
 /// to share work across the block — one symbolic factorization, a
 /// warm-start chain seeded by a [`crate::engine::BatchRun`] — which is
 /// exactly the sharing a per-item closure cannot express.
@@ -199,81 +200,23 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &[T], usize) -> Result<Vec<R>, E> + Sync,
 {
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
     let block = block_size.max(1);
-    let run_block = |start: usize| -> Result<Vec<R>, E> {
-        let end = (start + block).min(items.len());
-        let mut state = init();
-        let results = f(&mut state, &items[start..end], start)?;
-        assert_eq!(
-            results.len(),
-            end - start,
-            "batched closure must return one result per block item"
-        );
-        Ok(results)
-    };
     let starts: Vec<usize> = (0..items.len()).step_by(block).collect();
-    let workers = worker_count(starts.len());
-    if workers == 1 {
-        let mut out = Vec::with_capacity(items.len());
-        for &start in &starts {
-            out.extend(run_block(start)?);
-        }
-        return Ok(out);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, Vec<R>)> = Vec::with_capacity(starts.len());
-    let mut first_err: Option<(usize, E)> = None;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ok: Vec<(usize, Vec<R>)> = Vec::new();
-                    let mut err: Option<(usize, E)> = None;
-                    loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        if b >= starts.len() {
-                            break;
-                        }
-                        let start = starts[b];
-                        match run_block(start) {
-                            Ok(results) => ok.push((start, results)),
-                            Err(e) => {
-                                err = Some((start, e));
-                                break;
-                            }
-                        }
-                    }
-                    (ok, err)
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A panicking worker propagates its panic here, as in serial code.
-            let (ok, err) = handle.join().expect("batched sweep worker panicked");
-            tagged.extend(ok);
-            if let Some((i, e)) = err {
-                match &first_err {
-                    Some((fi, _)) if *fi <= i => {}
-                    _ => first_err = Some((i, e)),
-                }
-            }
-        }
-    });
-
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    tagged.sort_by_key(|&(start, _)| start);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, results) in tagged {
-        out.extend(results);
-    }
-    Ok(out)
+    let blocks = parallel_map(
+        &starts,
+        || (),
+        |(), &start, _| {
+            let end = (start + block).min(items.len());
+            let results = f(&mut init(), &items[start..end], start)?;
+            assert_eq!(
+                results.len(),
+                end - start,
+                "batched closure must return one result per block item"
+            );
+            Ok(results)
+        },
+    )?;
+    Ok(blocks.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
