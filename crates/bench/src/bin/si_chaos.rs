@@ -43,7 +43,7 @@
 //! `--replica-kill` (ISSUE 9) is a separate fault class at cluster
 //! scope: it spawns N real `si_serve` child processes (one worker each,
 //! persistent disk tiers), fronts them with an in-process
-//! [`RouterServer`], and SIGKILLs the *busiest* replica — the one with
+//! [`RouterServer`](si_service::router::RouterServer), and SIGKILLs the *busiest* replica — the one with
 //! the most forwards on the ring — a quarter of the way through a
 //! distinct-job storm. The gates: every job completes through client
 //! retries (zero lost), the router reroutes at least once and bumps its
@@ -355,7 +355,7 @@ fn payload_values(payload: &str) -> Vec<f64> {
 }
 
 /// The `--replica-kill` run: real `si_serve` children behind an
-/// in-process [`RouterServer`]; the busiest replica is SIGKILLed a
+/// in-process [`RouterServer`](si_service::router::RouterServer); the busiest replica is SIGKILLed a
 /// quarter of the way through the storm. Exits nonzero on gate failure.
 fn run_replica_kill(args: &Args) {
     use si_service::router::{RouterConfig, RouterServer};

@@ -4,7 +4,7 @@
 //! one file per deterministic 64-bit job key, so a restarted server warms
 //! up from its own past work instead of re-solving everything. It sits
 //! *under* the in-memory sharded tier (see
-//! [`CacheTier`](crate::cache::CacheTier) for the lookup/promotion
+//! [`CacheTier`] for the lookup/promotion
 //! order) and is built around three invariants:
 //!
 //! 1. **Crash-safe writes.** An entry is serialized to a `.tmp-` file,

@@ -1,8 +1,8 @@
 //! The service core: cache-aware job submission, deadlines, cancellation,
 //! and the `/metrics` aggregation.
 //!
-//! [`SiService`] glues the [`ResultCache`](crate::cache::ResultCache) in
-//! front of the [`WorkerPool`](crate::pool::WorkerPool):
+//! [`SiService`] glues the [`ResultCache`] in front of the
+//! [`WorkerPool`]:
 //!
 //! 1. A submission is first content-addressed. Cache hits return without
 //!    touching the pool; concurrent duplicates coalesce onto the one
@@ -22,14 +22,14 @@
 //!
 //! The submission path survives a worker panicking mid-job: the pool
 //! catches the unwind (the worker thread lives on), the
-//! [`LeadGuard`](crate::cache::LeadGuard) drop backstop releases
+//! [`LeadGuard`] drop backstop releases
 //! coalesced followers with [`ServiceError::Internal`], and a
 //! cancellation-flag drop guard inside the task closure prevents the
 //! `cancel_flags` map from leaking entries for unwound leaders. Transient
 //! failures — Newton budget exhaustion, worker crashes — are retried with
 //! the deterministic capped backoff of
-//! [`RetryPolicy`](crate::retry::RetryPolicy) before being surfaced.
-//! A [`FaultInjector`](crate::fault::FaultInjector) can be installed
+//! [`RetryPolicy`] before being surfaced.
+//! A [`FaultInjector`] can be installed
 //! (tests and the `si_chaos` harness only) to sabotage job executions on
 //! the worker thread and prove all of the above.
 
