@@ -63,7 +63,7 @@
 //! those entries from a peer.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -591,6 +591,11 @@ fn accept_ready(listener: &TcpListener, conns: &mut Vec<Option<Conn>>, ctx: &Loo
                 Some(ctx.config.retry_after_secs),
             );
             let _ = (&stream).write(&bytes);
+            // Half-close before the drop: if the client's request is
+            // already buffered unread, closing sends a reset, and a reset
+            // arriving ahead of a FIN turns the client's read of the 503
+            // into ECONNRESET. The FIN first lets it read a clean EOF.
+            let _ = stream.shutdown(Shutdown::Write);
             continue;
         }
         ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);

@@ -1339,6 +1339,51 @@ mod tests {
     }
 
     #[test]
+    fn json_round_trip_preserves_key() {
+        let specs = vec![
+            dc_spec(),
+            JobSpec::DelayLineTran {
+                stages: 3,
+                bias_ua: 20.0,
+                input_ua: 1.0,
+                steps: 8,
+                dt_ns: 100.0,
+                clock_hz: 1e6,
+            },
+            JobSpec::DelayLineAc {
+                stages: 2,
+                bias_ua: 20.0,
+                input_ua: 0.0,
+                f_lo_hz: 1e3,
+                f_hi_hz: 1e8,
+                points: 5,
+            },
+            JobSpec::SndrSweep {
+                full_scale_ua: 6.0,
+                levels_db: vec![-40.0, -20.0, -6.0],
+            },
+        ];
+        for spec in specs {
+            let wire = spec.to_json().to_string_compact();
+            let parsed = JobSpec::from_json(&crate::json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(parsed, spec);
+            assert_eq!(parsed.job_key(), spec.job_key());
+        }
+    }
+
+    #[test]
+    fn invalid_specs_are_rejected_with_typed_error() {
+        let bad = JobSpec::DelayLineDc {
+            stages: 0,
+            bias_ua: 20.0,
+            input_ua: 0.0,
+        };
+        assert!(matches!(bad.validate(), Err(ServiceError::InvalidSpec(_))));
+        let parse_err = JobSpec::from_json(&crate::json::parse(r#"{"kind":"nope"}"#).unwrap());
+        assert!(matches!(parse_err, Err(ServiceError::InvalidSpec(_))));
+    }
+
+    #[test]
     fn dc_job_runs_and_is_deterministic() {
         let spec = dc_spec();
         let mut ws1 = EngineWorkspace::new();
@@ -1378,6 +1423,19 @@ mod tests {
         };
         assert_ne!(single.job_key(), batch_spec(&[2.0]).job_key());
         assert_eq!(single.scenario_count(), 1);
+    }
+
+    #[test]
+    fn batch_spec_validates_inputs() {
+        assert!(matches!(
+            batch_spec(&[]).validate(),
+            Err(ServiceError::InvalidSpec(_))
+        ));
+        assert!(matches!(
+            batch_spec(&[f64::NAN]).validate(),
+            Err(ServiceError::InvalidSpec(_))
+        ));
+        assert!(batch_spec(&[0.5]).validate().is_ok());
     }
 
     #[test]
@@ -1566,6 +1624,19 @@ V1 in 0 3.3
         assert_ne!(spec.job_key(), stream_spec_with(900, 128, 128).job_key());
         // The checkpoint key never collides with the job key itself.
         assert_ne!(JobSpec::checkpoint_key(spec.job_key()), spec.job_key());
+    }
+
+    #[test]
+    fn stream_spec_validates_chunking_and_segment_length() {
+        assert!(stream_spec_with(900, 0, 256).validate().is_err());
+        assert!(stream_spec_with(900, 901, 256).validate().is_err());
+        // Not a power of two.
+        assert!(stream_spec_with(900, 128, 255).validate().is_err());
+        // Longer than the waveform (steps + 1 samples).
+        assert!(stream_spec_with(900, 128, 1024).validate().is_err());
+        assert!(stream_spec_with(0, 1, 2).validate().is_err());
+        // One-chunk streams are legal.
+        assert!(stream_spec_with(900, 900, 256).validate().is_ok());
     }
 
     #[test]
