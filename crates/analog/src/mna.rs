@@ -60,15 +60,15 @@ impl<'a> StampContext<'a> {
         }
     }
 
-    fn phase_is_high(&self, phase: ClockPhase) -> bool {
+    /// The φ1 and φ2 levels: the clock's at `time` when both are set,
+    /// the DC flags otherwise.
+    fn phase_levels(&self) -> (bool, bool) {
         match (self.clock, self.time) {
-            (Some(clock), Some(t)) => clock.is_high(phase, t),
-            _ => match phase {
-                ClockPhase::Phi1 => self.phi1_high,
-                ClockPhase::Phi2 => self.phi2_high,
-                ClockPhase::AlwaysOn => true,
-                ClockPhase::AlwaysOff => false,
-            },
+            (Some(clock), Some(t)) => (
+                clock.is_high(ClockPhase::Phi1, t),
+                clock.is_high(ClockPhase::Phi2, t),
+            ),
+            _ => (self.phi1_high, self.phi2_high),
         }
     }
 
@@ -174,13 +174,33 @@ pub fn assemble_into(
     assemble_into_target(circuit, ctx, &mut RealTarget::Dense(a), b)
 }
 
+/// Stamp slots per element in [`assemble_into_target`]'s numbering. A
+/// two-terminal conductance (resistor, capacitor companion, switch) takes
+/// four, as do a voltage source's branch couplings; a MOSFET's drain and
+/// source rows take eight. The count is fixed per kind, whatever the
+/// analysis stamps, so a slot names the same position in every mode; the
+/// gmin diagonal follows the last element's slots.
+fn stamp_slots(kind: &ElementKind) -> usize {
+    match kind {
+        ElementKind::Resistor { .. }
+        | ElementKind::Capacitor { .. }
+        | ElementKind::Switch { .. }
+        | ElementKind::VoltageSource { .. } => 4,
+        ElementKind::CurrentSource { .. } => 0,
+        ElementKind::Mosfet { .. } => 8,
+    }
+}
+
 /// Assembles the MNA system into either solver backend's matrix storage.
 ///
 /// The dense arm of [`RealTarget`] performs exactly the operations the
 /// pre-backend `assemble_into` performed (an additive stamp per position,
 /// in element order), preserving the engine's bit-identity contract; the
 /// sparse arm restamps values into a fixed [`SparsityPattern`] built by
-/// [`mna_pattern`].
+/// [`mna_pattern`], through stamp slots bound once per circuit structure
+/// and numbered per element ([`RealTarget::stamp`]). Each position
+/// receives the same additions in the same order on both arms. The clock
+/// phases are resolved once, before the element walk.
 ///
 /// # Errors
 ///
@@ -204,10 +224,14 @@ pub fn assemble_into_target(
     }
     let n_nodes = circuit.node_count();
     a.reset(dim);
+    if let RealTarget::Sparse(m) = a {
+        m.bind_slots(circuit.topology());
+    }
     b.clear();
     b.resize(dim, 0.0);
     let a = &mut *a;
     let b = &mut b[..];
+    let (phi1, phi2) = ctx.phase_levels();
 
     let row = |n: NodeId| -> Option<usize> {
         if n.is_ground() {
@@ -219,26 +243,28 @@ pub fn assemble_into_target(
     let branch_row = |k: usize| n_nodes - 1 + k;
 
     // Helper closures for the two ubiquitous stamp shapes.
-    let stamp_conductance = |a: &mut RealTarget<'_>, na: NodeId, nb: NodeId, g: f64| {
-        if let Some(i) = row(na) {
-            a.stamp(i, i, g);
-            if let Some(j) = row(nb) {
-                a.stamp(i, j, -g);
-            }
-        }
-        if let Some(j) = row(nb) {
-            a.stamp(j, j, g);
+    let stamp_conductance =
+        |a: &mut RealTarget<'_>, slot: usize, na: NodeId, nb: NodeId, g: f64| {
             if let Some(i) = row(na) {
-                a.stamp(j, i, -g);
+                a.stamp(slot, i, i, g);
+                if let Some(j) = row(nb) {
+                    a.stamp(slot + 1, i, j, -g);
+                }
             }
-        }
-    };
+            if let Some(j) = row(nb) {
+                a.stamp(slot + 2, j, j, g);
+                if let Some(i) = row(na) {
+                    a.stamp(slot + 3, j, i, -g);
+                }
+            }
+        };
     let inject = |b: &mut [f64], node: NodeId, i: f64| {
         if let Some(r) = row(node) {
             b[r] += i;
         }
     };
 
+    let mut slot = 0;
     for element in circuit.elements() {
         match element.kind() {
             ElementKind::Resistor {
@@ -246,7 +272,7 @@ pub fn assemble_into_target(
                 b: nb,
                 device,
             } => {
-                stamp_conductance(a, *na, *nb, device.conductance().0);
+                stamp_conductance(a, slot, *na, *nb, device.conductance().0);
             }
             ElementKind::Capacitor {
                 a: na,
@@ -256,7 +282,7 @@ pub fn assemble_into_target(
                 if let Some(step) = &ctx.cap_step {
                     let v_prev = step.prev_voltages[na.index()] - step.prev_voltages[nb.index()];
                     let comp = device.companion(step.h, Volts(v_prev));
-                    stamp_conductance(a, *na, *nb, comp.geq.0);
+                    stamp_conductance(a, slot, *na, *nb, comp.geq.0);
                     // History current flows from b to a externally.
                     inject(b, *na, comp.ieq.0);
                     inject(b, *nb, -comp.ieq.0);
@@ -276,12 +302,12 @@ pub fn assemble_into_target(
             } => {
                 let k = branch_row(*branch);
                 if let Some(i) = row(*pos) {
-                    a.stamp(i, k, 1.0);
-                    a.stamp(k, i, 1.0);
+                    a.stamp(slot, i, k, 1.0);
+                    a.stamp(slot + 1, k, i, 1.0);
                 }
                 if let Some(j) = row(*neg) {
-                    a.stamp(j, k, -1.0);
-                    a.stamp(k, j, -1.0);
+                    a.stamp(slot + 2, j, k, -1.0);
+                    a.stamp(slot + 3, k, j, -1.0);
                 }
                 b[k] = ctx.source_value(waveform);
             }
@@ -290,12 +316,14 @@ pub fn assemble_into_target(
                 b: nb,
                 device,
             } => {
-                let r = if ctx.phase_is_high(device.phase) {
-                    device.ron
-                } else {
-                    device.roff
+                let closed = match device.phase {
+                    ClockPhase::Phi1 => phi1,
+                    ClockPhase::Phi2 => phi2,
+                    ClockPhase::AlwaysOn => true,
+                    ClockPhase::AlwaysOff => false,
                 };
-                stamp_conductance(a, *na, *nb, 1.0 / r.0);
+                let r = if closed { device.ron } else { device.roff };
+                stamp_conductance(a, slot, *na, *nb, 1.0 / r.0);
             }
             ElementKind::Mosfet { terminals, params } => {
                 let vd = ctx.node_voltages[terminals.drain.index()];
@@ -313,40 +341,41 @@ pub fn assemble_into_target(
                 //   id = gm·vg + gds·vd − (gm+gds+gmb)·vs + gmb·vb + i0.
                 let gsum = gm + gds + gmb;
                 if let Some(d) = row(terminals.drain) {
-                    a.stamp(d, d, gds);
+                    a.stamp(slot, d, d, gds);
                     if let Some(g) = row(terminals.gate) {
-                        a.stamp(d, g, gm);
+                        a.stamp(slot + 1, d, g, gm);
                     }
                     if let Some(s) = row(terminals.source) {
-                        a.stamp(d, s, -gsum);
+                        a.stamp(slot + 2, d, s, -gsum);
                     }
                     if let Some(bk) = row(terminals.bulk) {
-                        a.stamp(d, bk, gmb);
+                        a.stamp(slot + 3, d, bk, gmb);
                     }
                     b[d] -= i0;
                 }
                 if let Some(s) = row(terminals.source) {
-                    a.stamp(s, s, gsum);
+                    a.stamp(slot + 4, s, s, gsum);
                     if let Some(g) = row(terminals.gate) {
-                        a.stamp(s, g, -gm);
+                        a.stamp(slot + 5, s, g, -gm);
                     }
                     if let Some(d) = row(terminals.drain) {
-                        a.stamp(s, d, -gds);
+                        a.stamp(slot + 6, s, d, -gds);
                     }
                     if let Some(bk) = row(terminals.bulk) {
-                        a.stamp(s, bk, -gmb);
+                        a.stamp(slot + 7, s, bk, -gmb);
                     }
                     b[s] += i0;
                 }
             }
         }
+        slot += stamp_slots(element.kind());
     }
 
     // gmin from every non-ground node to ground keeps the matrix
     // non-singular when devices are cut off.
     if ctx.gmin > 0.0 {
         for i in 0..(n_nodes - 1) {
-            a.stamp(i, i, ctx.gmin);
+            a.stamp(slot + i, i, i, ctx.gmin);
         }
     }
 
@@ -573,30 +602,50 @@ mod tests {
     fn sparse_assembly_matches_dense_on_a_full_device_mix() {
         // One of everything — resistor, capacitor, switch, current source,
         // voltage source, MOSFET — assembled both densely and into the
-        // mna_pattern sparse superset must agree entry for entry, in DC
-        // and in a transient step.
+        // mna_pattern sparse superset must agree bit for bit, entry by
+        // entry and in the rhs, in every mode: DC under either phase flag
+        // and with gmin off, transient steps clocked into φ1 and into φ2,
+        // and a DC → transient → DC sequence, all on one reused sparse
+        // matrix whose stamp slots bind on first use.
         let cell = crate::cells::ClassAbCellDesign::default().build().unwrap();
         let circuit = &cell.cell.circuit;
         let guess = &cell.cell.initial_guess;
-        let prev = vec![0.0; circuit.node_count()];
+        let prev: Vec<f64> = guess.iter().map(|v| 0.9 * v).collect();
+        let clock = TwoPhaseClock::new(Seconds(1e-6), 0.05).unwrap();
+        let dc = StampContext::dc(guess);
+        let tran = |t: f64, gmin: f64| StampContext {
+            clock: Some(&clock),
+            time: Some(Seconds(t)),
+            gmin,
+            cap_step: Some(CapStep {
+                h: 1e-9,
+                prev_voltages: &prev,
+            }),
+            ..dc
+        };
         let contexts = [
-            StampContext::dc(guess),
-            StampContext {
-                phi2_high: true,
-                cap_step: Some(CapStep {
-                    h: 1e-9,
-                    prev_voltages: &prev,
-                }),
-                time: Some(Seconds(0.0)),
-                ..StampContext::dc(guess)
-            },
+            ("dc", dc),
+            (
+                "dc phi2",
+                StampContext {
+                    phi1_high: false,
+                    phi2_high: true,
+                    ..dc
+                },
+            ),
+            ("dc gmin 0", StampContext { gmin: 0.0, ..dc }),
+            ("tran phi1", tran(0.1e-6, dc.gmin)),
+            ("tran phi2", tran(0.6e-6, dc.gmin)),
+            ("tran phi2 gmin 0", tran(0.6e-6, 0.0)),
+            ("dc again", dc),
         ];
         let dim = circuit.mna_dimension();
         let pattern = mna_pattern(circuit);
         assert_eq!(pattern.dim(), dim);
         let mut sparse = crate::sparse::CscMatrix::<f64>::from_pattern(pattern);
         let mut dense = Matrix::zeros(0, 0);
-        for ctx in contexts {
+        let mut assembled = Vec::new();
+        for (name, ctx) in contexts {
             let mut rhs_d = Vec::new();
             let mut rhs_s = Vec::new();
             assemble_into(circuit, &ctx, &mut dense, &mut rhs_d).unwrap();
@@ -607,12 +656,25 @@ mod tests {
                 &mut rhs_s,
             )
             .unwrap();
-            assert_eq!(rhs_d, rhs_s);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rhs_d), bits(&rhs_s), "{name}: rhs differs");
             for i in 0..dim {
                 for j in 0..dim {
-                    assert_eq!(dense[(i, j)], sparse.get(i, j), "entry ({i},{j}) differs");
+                    assert_eq!(
+                        dense[(i, j)].to_bits(),
+                        sparse.get(i, j).to_bits(),
+                        "{name}: entry ({i},{j}) differs"
+                    );
                 }
             }
+            assembled.push(dense.clone());
         }
+        // The modes really differ: the clock phase moves switch stamps,
+        // gmin the diagonal, and the return to DC restores the first.
+        assert_ne!(assembled[0], assembled[1], "phase flags switch nothing");
+        assert_ne!(assembled[0], assembled[2], "gmin stamps nothing");
+        assert_ne!(assembled[3], assembled[4], "clock phases switch nothing");
+        assert_ne!(assembled[4], assembled[5], "transient gmin stamps nothing");
+        assert_eq!(assembled[0], assembled[6]);
     }
 }

@@ -6,6 +6,7 @@
 //! validate parameters and reject duplicate names.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::device::mos::MosParams;
 use crate::device::passive::{Capacitor, Resistor};
@@ -132,6 +133,46 @@ impl Element {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a_words(words: &[u64]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// A circuit's exact structure: the word sequence
+/// [`Circuit::structure_fingerprint`] hashes, with that hash. Clones of a
+/// circuit share the words, so a circuit and its clones compare by
+/// pointer.
+#[derive(Debug, Clone)]
+pub(crate) struct Topology {
+    fingerprint: u64,
+    words: Arc<[u64]>,
+}
+
+impl Topology {
+    /// Whether `other` has exactly this structure. A fingerprint match is
+    /// confirmed word by word unless the words are shared; on such a
+    /// confirmed match `self` adopts `other`'s words, so the next check
+    /// against the same circuit is a pointer compare.
+    pub(crate) fn matches(&mut self, other: &Topology) -> bool {
+        if Arc::ptr_eq(&self.words, &other.words) {
+            return true;
+        }
+        if self.fingerprint != other.fingerprint || self.words != other.words {
+            return false;
+        }
+        self.words = Arc::clone(&other.words);
+        true
+    }
+}
+
 /// A flat netlist of nodes and elements.
 ///
 /// See the [crate-level example](crate) for usage.
@@ -142,6 +183,9 @@ pub struct Circuit {
     elements: Vec<Element>,
     element_lookup: HashMap<String, ElementId>,
     vsource_count: usize,
+    /// The structure, computed on first use and cleared by every
+    /// structural mutation (a new node, a new element, a new branch).
+    topology: OnceLock<Topology>,
 }
 
 impl Circuit {
@@ -157,6 +201,7 @@ impl Circuit {
             elements: Vec::new(),
             element_lookup: HashMap::new(),
             vsource_count: 0,
+            topology: OnceLock::new(),
         };
         c.node_names.push("0".to_string());
         c.node_lookup.insert("0".to_string(), NodeId(0));
@@ -176,6 +221,7 @@ impl Circuit {
         let id = NodeId(self.node_names.len());
         self.node_names.push(canonical.to_string());
         self.node_lookup.insert(canonical.to_string(), id);
+        self.topology.take();
         id
     }
 
@@ -204,62 +250,71 @@ impl Circuit {
     /// sweep that only retunes sources keeps the same fingerprint and the
     /// sparse solver's cached symbolic factorization stays valid.
     ///
+    /// Computed once and cached until the next structural mutation, so
+    /// repeated calls (one per Newton iteration in the solver) are free.
+    ///
     /// FNV-1a rather than [`std::hash::DefaultHasher`] because the latter
     /// is randomized per process and this fingerprint keys a cache that
     /// must behave identically run to run.
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
+        self.topology().fingerprint
+    }
+
+    /// The circuit's exact structure, computed on first use.
+    pub(crate) fn topology(&self) -> &Topology {
+        self.topology.get_or_init(|| {
+            let words = self.structure_words();
+            Topology {
+                fingerprint: fnv1a_words(&words),
+                words: words.into(),
             }
-        };
-        mix(self.node_count() as u64);
-        mix(self.vsource_count as u64);
+        })
+    }
+
+    /// Replaces the cached structure fingerprint while keeping the
+    /// structure words, to stage a fingerprint collision between two
+    /// different topologies.
+    #[cfg(test)]
+    pub(crate) fn plant_structure_fingerprint(&mut self, fingerprint: u64) {
+        let words = self.topology().words.clone();
+        self.topology = OnceLock::from(Topology { fingerprint, words });
+    }
+
+    /// The words the structure fingerprint hashes, in hashing order.
+    fn structure_words(&self) -> Vec<u64> {
+        let mut words = vec![self.node_count() as u64, self.vsource_count as u64];
         for e in &self.elements {
             match &e.kind {
                 ElementKind::Resistor { a, b, .. } => {
-                    mix(1);
-                    mix(a.0 as u64);
-                    mix(b.0 as u64);
+                    words.extend([1, a.0 as u64, b.0 as u64]);
                 }
                 ElementKind::Capacitor { a, b, .. } => {
-                    mix(2);
-                    mix(a.0 as u64);
-                    mix(b.0 as u64);
+                    words.extend([2, a.0 as u64, b.0 as u64]);
                 }
                 ElementKind::CurrentSource { from, to, .. } => {
-                    mix(3);
-                    mix(from.0 as u64);
-                    mix(to.0 as u64);
+                    words.extend([3, from.0 as u64, to.0 as u64]);
                 }
                 ElementKind::VoltageSource {
                     pos, neg, branch, ..
                 } => {
-                    mix(4);
-                    mix(pos.0 as u64);
-                    mix(neg.0 as u64);
-                    mix(*branch as u64);
+                    words.extend([4, pos.0 as u64, neg.0 as u64, *branch as u64]);
                 }
                 ElementKind::Mosfet { terminals, .. } => {
-                    mix(5);
-                    mix(terminals.drain.0 as u64);
-                    mix(terminals.gate.0 as u64);
-                    mix(terminals.source.0 as u64);
-                    mix(terminals.bulk.0 as u64);
+                    words.extend([
+                        5,
+                        terminals.drain.0 as u64,
+                        terminals.gate.0 as u64,
+                        terminals.source.0 as u64,
+                        terminals.bulk.0 as u64,
+                    ]);
                 }
                 ElementKind::Switch { a, b, .. } => {
-                    mix(6);
-                    mix(a.0 as u64);
-                    mix(b.0 as u64);
+                    words.extend([6, a.0 as u64, b.0 as u64]);
                 }
             }
         }
-        h
+        words
     }
 
     /// A deterministic hash of the circuit's element *values*: resistances,
@@ -277,8 +332,6 @@ impl Circuit {
     /// — however small — produces a different fingerprint.
     #[must_use]
     pub fn value_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
         let mut mix = |v: u64| {
             for byte in v.to_le_bytes() {
@@ -499,6 +552,7 @@ impl Circuit {
             kind,
         });
         self.element_lookup.insert(name.to_string(), id);
+        self.topology.take();
         Ok(id)
     }
 
@@ -637,6 +691,7 @@ impl Circuit {
             },
         )?;
         self.vsource_count += 1;
+        self.topology.take();
         Ok(id)
     }
 

@@ -96,12 +96,14 @@ impl RealTarget<'_> {
         }
     }
 
-    /// Adds `value` at `(i, j)`.
+    /// Adds `value` at `(i, j)`, which is stamp slot `slot` of the
+    /// assembly's fixed numbering: the sparse arm replays the slot's value
+    /// offset from its table, the dense arm indexes `(i, j)` directly.
     #[inline]
-    pub fn stamp(&mut self, i: usize, j: usize, value: f64) {
+    pub fn stamp(&mut self, slot: usize, i: usize, j: usize, value: f64) {
         match self {
             RealTarget::Dense(m) => m.stamp(i, j, value),
-            RealTarget::Sparse(m) => m.stamp(i, j, value),
+            RealTarget::Sparse(m) => m.stamp_slot(slot, i, j, value),
         }
     }
 }
@@ -167,30 +169,32 @@ impl FactorEvent {
 }
 
 /// The sparse half of a solver: the assembled matrix over its cached
-/// pattern, the factorization with its cached symbolic structure, and the
-/// topology fingerprint that keys both.
+/// pattern and the factorization with its cached symbolic structure, both
+/// keyed by the circuit structure the matrix's stamp slots are bound to.
 #[derive(Debug, Clone)]
 struct SparseState<S: Scalar> {
-    fingerprint: u64,
     matrix: CscMatrix<S>,
     lu: SparseLu<S>,
 }
 
 impl<S: Scalar> SparseState<S> {
     fn for_circuit(circuit: &Circuit) -> Self {
+        let mut matrix = CscMatrix::from_pattern(mna_pattern(circuit));
+        matrix.bind_slots(circuit.topology());
         SparseState {
-            fingerprint: circuit.structure_fingerprint(),
-            matrix: CscMatrix::from_pattern(mna_pattern(circuit)),
+            matrix,
             lu: SparseLu::new(),
         }
     }
 }
 
 /// Ensures `slot` holds sparse state for `circuit`'s topology, rebuilding
-/// pattern and symbolic cache only when the fingerprint changed.
+/// pattern, stamp slots and symbolic cache only when the structure
+/// changed. The check is exact — a fingerprint match alone never replays
+/// another topology's slots — and O(1) for the bound circuit or a clone.
 fn ensure_state<S: Scalar>(slot: &mut Option<SparseState<S>>, circuit: &Circuit) {
-    let fp = circuit.structure_fingerprint();
-    if slot.as_ref().is_none_or(|s| s.fingerprint != fp) {
+    let topology = circuit.topology();
+    if !slot.as_mut().is_some_and(|s| s.matrix.bind_slots(topology)) {
         *slot = Some(SparseState::for_circuit(circuit));
     }
 }
@@ -606,6 +610,72 @@ mod tests {
             .assemble_and_factor(&other, &other_ctx, &mut rhs, &policy)
             .unwrap();
         assert_eq!(third.cache, Some(false), "new topology is a miss");
+    }
+
+    /// `ladder(stages)` with its last rung tied to the first node instead
+    /// of ground: the same dimension and element count, another pattern.
+    fn ladder_with_looped_tail(stages: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let mut prev = Circuit::GROUND;
+        let n0 = c.node("n0");
+        for k in 0..stages {
+            let n = c.node(&format!("n{k}"));
+            c.resistor(&format!("R{k}"), prev, n, Ohms(1e3)).unwrap();
+            let rung_end = if k + 1 == stages { n0 } else { Circuit::GROUND };
+            c.resistor(&format!("Rg{k}"), n, rung_end, Ohms(1e4))
+                .unwrap();
+            prev = n;
+        }
+        c.current_source("Iin", Circuit::GROUND, n0, Amps(1e-3))
+            .unwrap();
+        c
+    }
+
+    #[test]
+    fn fingerprint_collision_rebinds_instead_of_replaying_foreign_slots() {
+        let mut first = ladder(40);
+        let mut second = ladder_with_looped_tail(40);
+        first.plant_structure_fingerprint(0x5eed);
+        second.plant_structure_fingerprint(0x5eed);
+        assert_eq!(
+            first.structure_fingerprint(),
+            second.structure_fingerprint()
+        );
+        assert_eq!(first.mna_dimension(), second.mna_dimension());
+        assert_eq!(first.elements().len(), second.elements().len());
+        assert_ne!(mna_pattern(&first), mna_pattern(&second));
+
+        let policy = BackendPolicy {
+            mode: BackendMode::ForceSparse,
+            ..BackendPolicy::default()
+        };
+        let guess = vec![0.0; second.node_count()];
+        let ctx = StampContext::dc(&guess);
+        let solve = |solver: &mut RealSolver, circuit: &Circuit| {
+            let mut rhs = Vec::new();
+            let event = solver
+                .assemble_and_factor(circuit, &ctx, &mut rhs, &policy)
+                .unwrap();
+            let mut x = Vec::new();
+            solver.solve(&rhs, &mut x).unwrap();
+            (event, x)
+        };
+
+        let mut reused = RealSolver::new();
+        solve(&mut reused, &first);
+        let (event, x_reused) = solve(&mut reused, &second);
+        assert_eq!(event.cache, Some(false), "a colliding fingerprint rebinds");
+        let (_, x_fresh) = solve(&mut RealSolver::new(), &second);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_reused), bits(&x_fresh));
+
+        // Exact keying is by structure, not by instance: an equal circuit
+        // built separately (no shared words) replays the bound state.
+        let mut rebuilt = ladder_with_looped_tail(40);
+        rebuilt.plant_structure_fingerprint(0x5eed);
+        let (event, x_rebuilt) = solve(&mut reused, &rebuilt);
+        assert_eq!(event.cache, Some(true));
+        assert_eq!(bits(&x_rebuilt), bits(&x_fresh));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! both facts:
 //!
 //! * [`SparsityPattern`] / [`CscMatrix`] — compressed-sparse-column
-//!   storage over a fixed position set, with binary-search stamping so MNA
-//!   assembly needs no dense scratch.
+//!   storage over a fixed position set, so MNA assembly needs no dense
+//!   scratch. Real assembly stamps through a per-topology slot table
+//!   (SPICE's element pointers): each stamp's value offset is found by
+//!   binary search once per topology and replayed from the table after
+//!   that.
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls) LU factorization with
 //!   partial pivoting. The first factorization performs the symbolic
 //!   analysis (depth-first reachability per column, recording the fill-in
@@ -24,6 +27,7 @@
 //! dependency.
 
 use crate::complexmat::C64;
+use crate::netlist::Topology;
 use crate::AnalogError;
 
 /// The field a sparse kernel operates over: `f64` for the real MNA path,
@@ -164,14 +168,33 @@ impl SparsityPattern {
 pub struct CscMatrix<S: Scalar> {
     pattern: SparsityPattern,
     values: Vec<S>,
+    slots: StampSlots,
 }
+
+/// The element-pointer table of real MNA assembly: `offsets[slot]` is the
+/// value offset that stamp slot `slot` of [`crate::mna::assemble_into_target`]
+/// adds into, for the circuit structure `topology`. Offsets resolve on a
+/// slot's first stamp, so a slot only some analyses use (a capacitor
+/// companion, the gmin diagonal) resolves when one of them first runs.
+#[derive(Debug, Clone, Default)]
+struct StampSlots {
+    topology: Option<Topology>,
+    offsets: Vec<usize>,
+}
+
+/// An entry of [`StampSlots::offsets`] not resolved yet.
+const UNRESOLVED: usize = usize::MAX;
 
 impl<S: Scalar> CscMatrix<S> {
     /// An all-zero matrix over `pattern`.
     #[must_use]
     pub fn from_pattern(pattern: SparsityPattern) -> Self {
         let values = vec![S::ZERO; pattern.nnz()];
-        CscMatrix { pattern, values }
+        CscMatrix {
+            pattern,
+            values,
+            slots: StampSlots::default(),
+        }
     }
 
     /// The matrix dimension.
@@ -199,11 +222,64 @@ impl<S: Scalar> CscMatrix<S> {
     /// is built as a superset of every position any analysis stamps, so a
     /// miss is a programming error, exactly like a dense out-of-range stamp.
     pub fn stamp(&mut self, i: usize, j: usize, value: S) {
-        let slot = self
-            .pattern
+        let offset = self.offset_of(i, j);
+        self.values[offset] += value;
+    }
+
+    /// The value offset of `(i, j)`, panicking as [`Self::stamp`]
+    /// documents when it is outside the pattern.
+    fn offset_of(&self, i: usize, j: usize) -> usize {
+        self.pattern
             .index_of(i, j)
-            .unwrap_or_else(|| panic!("stamp ({i},{j}) outside sparsity pattern"));
-        self.values[slot] += value;
+            .unwrap_or_else(|| panic!("stamp ({i},{j}) outside sparsity pattern"))
+    }
+
+    /// Keys the stamp-slot table to the circuit structure `topology`. The
+    /// resolved offsets are kept when the table is bound to exactly this
+    /// structure (confirmed word by word, never by fingerprint alone) and
+    /// forgotten otherwise. Returns whether they were kept.
+    pub(crate) fn bind_slots(&mut self, topology: &Topology) -> bool {
+        if let Some(bound) = &mut self.slots.topology {
+            if bound.matches(topology) {
+                return true;
+            }
+        }
+        self.slots.topology = Some(topology.clone());
+        self.slots.offsets.clear();
+        false
+    }
+
+    /// Adds `value` to entry `(i, j)`, which is stamp slot `slot` of the
+    /// bound topology ([`Self::bind_slots`]): the slot's value offset is
+    /// resolved by [`Self::stamp`]'s search on its first use and read from
+    /// the table after that.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Self::stamp`] does when the slot's first stamp is
+    /// outside the pattern.
+    #[inline]
+    pub(crate) fn stamp_slot(&mut self, slot: usize, i: usize, j: usize, value: S) {
+        let offset = match self.slots.offsets.get(slot) {
+            Some(&offset) if offset != UNRESOLVED => offset,
+            _ => self.resolve_slot(slot, i, j),
+        };
+        debug_assert_eq!(
+            self.pattern.index_of(i, j),
+            Some(offset),
+            "stamp slot {slot} replayed at another position than ({i},{j})"
+        );
+        self.values[offset] += value;
+    }
+
+    #[cold]
+    fn resolve_slot(&mut self, slot: usize, i: usize, j: usize) -> usize {
+        let offset = self.offset_of(i, j);
+        if self.slots.offsets.len() <= slot {
+            self.slots.offsets.resize(slot + 1, UNRESOLVED);
+        }
+        self.slots.offsets[slot] = offset;
+        offset
     }
 
     /// Reads entry `(i, j)`; zero when outside the pattern.

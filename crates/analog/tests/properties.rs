@@ -508,6 +508,87 @@ proptest! {
         prop_assert_eq!(c.structure_fingerprint(), structure0);
         prop_assert_eq!(c.value_fingerprint(), values0);
     }
+
+    /// The structure fingerprint is cached on the circuit, and the cache
+    /// never goes stale: a circuit built by random node and element
+    /// additions, read between every step, ends at exactly the
+    /// fingerprint of the same circuit built without reads (and every
+    /// read matches the unread prefix). Source retuning keeps it; a clone
+    /// then mutated structurally diverges from its untouched original.
+    #[test]
+    fn cached_structure_fingerprint_matches_an_unread_build(
+        ops in prop::collection::vec((0u8..7, 0usize..5, 0usize..5), 1..20),
+        retune_ma in 0.01f64..10.0,
+    ) {
+        use si_analog::device::switch::{ClockPhase, Switch};
+        use si_analog::netlist::{Circuit, MosTerminals};
+        use si_analog::units::{Amps, Farads, Ohms};
+
+        // Node 0 of the draw is ground; ops[..n] applied in order.
+        let build = |n: usize, read: &mut dyn FnMut(&Circuit)| {
+            let mut c = Circuit::new();
+            read(&c);
+            for (k, &(op, a, b)) in ops[..n].iter().enumerate() {
+                let name = |x: usize| if x == 0 { "0".to_string() } else { format!("n{x}") };
+                let na = c.node(&name(a));
+                read(&c);
+                let nb = c.node(&name(b));
+                read(&c);
+                let el = format!("E{k}");
+                match op {
+                    0 => {}
+                    1 => { c.resistor(&el, na, nb, Ohms(1e3)).unwrap(); }
+                    2 => { c.capacitor(&el, na, nb, Farads(1e-12)).unwrap(); }
+                    3 => { c.voltage_source(&el, na, nb, Volts(1.0)).unwrap(); }
+                    4 => { c.current_source(&el, na, nb, Amps(1e-6)).unwrap(); }
+                    5 => {
+                        let sw = Switch { ron: Ohms(1e3), roff: Ohms(1e9), phase: ClockPhase::Phi1 };
+                        c.switch(&el, na, nb, sw).unwrap();
+                    }
+                    _ => {
+                        let t = MosTerminals { drain: na, gate: nb, source: Circuit::GROUND, bulk: Circuit::GROUND };
+                        c.mosfet(&el, t, MosParams::nmos_08um(10.0, 1.0)).unwrap();
+                    }
+                }
+                read(&c);
+            }
+            c
+        };
+
+        let unread = |n: usize| build(n, &mut |_| {}).structure_fingerprint();
+        let mut reads = Vec::new();
+        let read_built = build(ops.len(), &mut |c| reads.push(c.structure_fingerprint()));
+        prop_assert_eq!(read_built.structure_fingerprint(), unread(ops.len()));
+        // Three reads per op plus the empty circuit's: read 3k+3 follows op k.
+        prop_assert_eq!(reads.len(), 3 * ops.len() + 1);
+        for k in 0..ops.len() {
+            prop_assert_eq!(reads[3 * k + 3], unread(k + 1), "read after op {}", k);
+        }
+
+        // Value updates keep the cached fingerprint.
+        let mut retuned = read_built.clone();
+        let before = retuned.structure_fingerprint();
+        for (k, &(op, _, _)) in ops.iter().enumerate() {
+            let el = format!("E{k}");
+            match op {
+                3 => retuned.update_voltage_source(&el, Waveform::Dc(retune_ma)).unwrap(),
+                4 => retuned.update_current_source(&el, Waveform::Dc(retune_ma * 1e-3)).unwrap(),
+                _ => {}
+            }
+        }
+        prop_assert_eq!(retuned.structure_fingerprint(), before);
+
+        // A clone mutated structurally diverges; the original keeps its key.
+        let mut grown = read_built.clone();
+        let fresh = grown.node("fresh");
+        prop_assert_ne!(grown.structure_fingerprint(), before);
+        let mut rewired = read_built.clone();
+        rewired.resistor("Rextra", Circuit::GROUND, Circuit::GROUND, Ohms(1.0)).unwrap();
+        prop_assert_ne!(rewired.structure_fingerprint(), before);
+        grown.resistor("Rfresh", fresh, Circuit::GROUND, Ohms(1.0)).unwrap();
+        prop_assert_ne!(grown.structure_fingerprint(), before);
+        prop_assert_eq!(read_built.structure_fingerprint(), before);
+    }
 }
 
 /// A tiny splitmix64 stream for deterministic in-test shuffles and noise,
