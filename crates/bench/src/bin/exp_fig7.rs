@@ -27,7 +27,7 @@ use si_modulator::arch::SecondOrderTopology;
 use si_modulator::ideal::IdealModulator;
 use si_modulator::measure::MeasurementConfig;
 use si_modulator::si::{ChopperSiModulator, NoiseModel, SiModulator, SiModulatorConfig};
-use si_modulator::sweep::{fig7_levels, sndr_sweep_parallel, SweepResult};
+use si_modulator::sweep::{fig7_levels, sndr_sweep, SweepResult};
 
 fn main() {
     if let Err(e) = run() {
@@ -52,11 +52,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let levels = fig7_levels();
 
     // Per-point determinism comes from `SiModulatorConfig::seed`, so the
-    // parallel sweep is byte-identical to the serial one (asserted by the
+    // parallel sweep is byte-identical to a serial loop (asserted by the
     // engine integration test).
-    let plain = sndr_sweep_parallel(|| SiModulator::new(base), &levels, &cfg)?;
-    let chopped = sndr_sweep_parallel(|| ChopperSiModulator::new(base), &levels, &cfg)?;
-    let ideal = sndr_sweep_parallel(
+    let plain = sndr_sweep(|| SiModulator::new(base), &levels, &cfg)?;
+    let chopped = sndr_sweep(|| ChopperSiModulator::new(base), &levels, &cfg)?;
+    let ideal = sndr_sweep(
         || IdealModulator::new(SecondOrderTopology::paper_scaled(), 6e-6),
         &levels,
         &cfg,

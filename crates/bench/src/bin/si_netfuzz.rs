@@ -8,17 +8,16 @@
 //! 1. **No panics** — each submission runs under `catch_unwind`; a panic
 //!    anywhere in parse, pricing, keying, or solving fails the run. A
 //!    worker panic would surface as `Internal`, which gate 3 also fails.
-//! 2. **No hangs** — any case slower than `--max-case-ms` fails the run.
+//! 2. **No hangs** — any case slower than [`MAX_CASE`] fails the run.
 //! 3. **Typed outcomes only** — accepted jobs solve or fail analysis
 //!    (`200`/`422`); malformed text is `NetlistRejected` (`422`);
 //!    oversized circuits are `BudgetExceeded` (`413`). Anything else
-//!    (`Transient`, `Internal`, untyped HTTP statuses) fails the run.
+//!    (`Transient`, `Internal`, untyped HTTP answers) fails the run.
 //! 4. **Budget precedes factorization** — an over-budget netlist submitted
 //!    to a fresh service leaves the engine's solve counter at zero.
 //!
 //! ```text
-//! si_netfuzz [--http] [--iters N] [--seed N] [--workers N] [--queue N]
-//!            [--max-case-ms N]
+//! si_netfuzz [--http] [--iters N] [--seed N]
 //! ```
 //!
 //! Every failing case is written to `target/experiments/netfuzz_artifacts/`
@@ -26,60 +25,22 @@
 //! code 0 only when all four gates hold.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use si_bench::harness::{self, metric, Flag, Gates, Target};
 use si_bench::netfuzz::{self, NASTY_CORPUS};
-use si_bench::run_report::{experiments_dir, RunReport};
-use si_service::http::{http_request, HttpServer};
+use si_bench::run_report::experiments_dir;
+use si_service::http::HttpConfig;
 use si_service::jobspec::JobSpec;
-use si_service::service::{ServiceConfig, SiService};
+use si_service::service::ServiceConfig;
 use si_service::ServiceError;
 
-struct Args {
-    http: bool,
-    iters: usize,
-    seed: u64,
-    workers: usize,
-    queue: usize,
-    max_case_ms: u64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            http: false,
-            iters: 12_000,
-            seed: 42,
-            workers: 2,
-            queue: 64,
-            max_case_ms: 2_000,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut int = |name: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
-                .parse()
-                .map_err(|_| format!("{name} must be an integer"))
-        };
-        match flag.as_str() {
-            "--http" => args.http = true,
-            "--iters" => args.iters = int("--iters")?.max(NASTY_CORPUS.len()),
-            "--seed" => args.seed = int("--seed")? as u64,
-            "--workers" => args.workers = int("--workers")?.max(1),
-            "--queue" => args.queue = int("--queue")?.max(1),
-            "--max-case-ms" => args.max_case_ms = int("--max-case-ms")?.max(1) as u64,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(args)
-}
+/// Worker threads of the fuzzed service.
+const WORKERS: usize = 2;
+/// Admission queue depth of the fuzzed service.
+const QUEUE: usize = 64;
+/// A case slower than this counts as a hang.
+const MAX_CASE: Duration = Duration::from_millis(2_000);
 
 /// How one fuzz case ended, after forcing every outcome into a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,73 +54,45 @@ enum Outcome {
     Panicked,
 }
 
-/// One counter out of a live `/metrics` snapshot.
-fn svc_counter(service: &SiService, section: &str, key: &str) -> f64 {
-    service
-        .metrics()
-        .get(section)
-        .and_then(|s| s.get(key))
-        .and_then(si_service::json::Json::as_f64)
-        .unwrap_or(0.0)
-}
-
-fn classify(result: Result<(Arc<si_service::JobOutput>, bool), ServiceError>) -> Outcome {
-    match result {
-        Ok((_, cached)) => Outcome::Solved { cached },
-        Err(ServiceError::NetlistRejected(_)) => Outcome::RejectedParse,
-        Err(ServiceError::BudgetExceeded { .. }) => Outcome::RejectedBudget,
-        Err(ServiceError::Analysis(_)) => Outcome::AnalysisFailed,
-        Err(ServiceError::InvalidSpec(_)) => Outcome::InvalidSpec,
-        Err(_) => Outcome::Untyped,
-    }
-}
-
-/// Submits one netlist over HTTP and maps the wire status back to an
-/// outcome. Only `200`, `400`, `413`, `422` count as typed.
-fn classify_http(addr: std::net::SocketAddr, spec: &JobSpec) -> Outcome {
-    let body = spec.to_json().to_string_compact();
-    match http_request(addr, "POST", "/v1/jobs", Some(&body)) {
-        Ok((200, payload)) => Outcome::Solved {
-            cached: payload.contains("\"cached\":true"),
-        },
-        Ok((422, payload)) => {
-            if payload.contains("\"netlist_rejected\"") {
-                Outcome::RejectedParse
-            } else {
-                Outcome::AnalysisFailed
-            }
-        }
-        Ok((413, _)) => Outcome::RejectedBudget,
-        Ok((400, _)) => Outcome::InvalidSpec,
-        Ok((_, _)) | Err(_) => Outcome::Untyped,
+/// Buckets a submission's result. A typed error counts only with the
+/// status the wire contract gives it (`422`, `413`, `422`, `400`).
+fn classify(result: Result<bool, ServiceError>) -> Outcome {
+    let err = match result {
+        Ok(cached) => return Outcome::Solved { cached },
+        Err(err) => err,
+    };
+    match (&err, err.http_status()) {
+        (ServiceError::NetlistRejected(_), 422) => Outcome::RejectedParse,
+        (ServiceError::BudgetExceeded { .. }, 413) => Outcome::RejectedBudget,
+        (ServiceError::Analysis(_), 422) => Outcome::AnalysisFailed,
+        (ServiceError::InvalidSpec(_), 400) => Outcome::InvalidSpec,
+        _ => Outcome::Untyped,
     }
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let flags = harness::flags(&[
+        Flag::switch("--http"),
+        Flag::int("--iters", 12_000, NASTY_CORPUS.len()),
+        Flag::int("--seed", 42, 0),
+    ]);
+    let (http, iters, seed) = (
+        flags.on("--http"),
+        flags.int("--iters"),
+        flags.int("--seed") as u64,
+    );
+    let target = Target::start(
+        ServiceConfig {
+            workers: WORKERS,
+            queue_capacity: QUEUE,
+            ..ServiceConfig::default()
+        },
+        http.then(HttpConfig::default),
+    );
+    let service = target.service();
+    let submit = |netlist: String| classify(target.submit(&JobSpec::Netlist { netlist }));
 
-    let service = Arc::new(SiService::new(ServiceConfig {
-        workers: args.workers,
-        queue_capacity: args.queue,
-        ..ServiceConfig::default()
-    }));
-    let mut server = None;
-    let addr = if args.http {
-        let srv = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
-        let a = srv.local_addr();
-        server = Some(srv);
-        Some(a)
-    } else {
-        None
-    };
-
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Gates::new("si_netfuzz");
     let artifacts = experiments_dir().join("netfuzz_artifacts");
     let mut artifact_count = 0usize;
     let mut save_artifact = |i: usize, kind: &str, text: &str| {
@@ -168,72 +101,47 @@ fn main() {
         }
         artifact_count += 1;
         if std::fs::create_dir_all(&artifacts).is_ok() {
-            let path = artifacts.join(format!("case_{i:06}_{kind}.snl"));
-            let _ = std::fs::write(path, text);
+            let _ = std::fs::write(artifacts.join(format!("case_{i:06}_{kind}.snl")), text);
         }
     };
 
     // ---- Gate 4 first, on the still-virgin engine: an over-budget
     // netlist must be rejected 413 with the solve counter untouched.
-    let big = netfuzz::oversized(9000);
-    let big_spec = JobSpec::Netlist {
-        netlist: big.clone(),
-    };
-    let big_outcome = match addr {
-        None => classify(service.submit_blocking(&big_spec, None)),
-        Some(a) => classify_http(a, &big_spec),
-    };
-    if big_outcome != Outcome::RejectedBudget {
-        failures.push(format!(
-            "oversized netlist was not budget-rejected: {big_outcome:?}"
-        ));
-    }
-    let solves_after_reject = svc_counter(&service, "engine", "solves");
-    if solves_after_reject != 0.0 {
-        failures.push(format!(
-            "budget rejection reached the solver: engine.solves = {solves_after_reject}"
-        ));
-    }
+    let big_outcome = submit(netfuzz::oversized(9000));
+    gates.require(
+        big_outcome == Outcome::RejectedBudget,
+        format!("oversized netlist was not budget-rejected: {big_outcome:?}"),
+    );
+    let solves_after_reject = metric(&service.metrics(), "engine", "solves");
+    gates.require(
+        solves_after_reject == 0.0,
+        format!("budget rejection reached the solver: engine.solves = {solves_after_reject}"),
+    );
 
     // ---- The fuzz loop: nasty corpus first, then the seeded mix.
     let started = Instant::now();
-    let max_case = Duration::from_millis(args.max_case_ms);
-    let mut solved = 0u64;
-    let mut cache_hits = 0u64;
-    let mut rejected_parse = 0u64;
-    let mut rejected_budget = 0u64;
-    let mut analysis_failed = 0u64;
-    let mut invalid_spec = 0u64;
-    let mut untyped = 0u64;
-    let mut panics = 0u64;
-    let mut hangs = 0u64;
+    let (mut solved, mut cache_hits, mut rejected_parse, mut rejected_budget) = (0u64, 0, 0, 0);
+    let (mut analysis_failed, mut invalid_spec, mut untyped, mut panics, mut hangs) =
+        (0u64, 0, 0, 0, 0);
     let mut max_case_wall = Duration::ZERO;
-    for i in 0..args.iters {
-        let text = netfuzz::case(args.seed, i);
-        let spec = JobSpec::Netlist {
-            netlist: text.clone(),
-        };
+    for i in 0..iters {
+        let text = netfuzz::case(seed, i);
         let case_started = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match addr {
-            None => classify(service.submit_blocking(&spec, None)),
-            Some(a) => classify_http(a, &spec),
-        }))
-        .unwrap_or(Outcome::Panicked);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| submit(text.clone())))
+            .unwrap_or(Outcome::Panicked);
         let case_wall = case_started.elapsed();
         max_case_wall = max_case_wall.max(case_wall);
-        if case_wall > max_case {
+        if case_wall > MAX_CASE {
             hangs += 1;
             save_artifact(i, "hang", &text);
             if hangs <= 3 {
-                eprintln!("case {i} took {case_wall:?} (> {max_case:?})");
+                eprintln!("case {i} took {case_wall:?} (> {MAX_CASE:?})");
             }
         }
         match outcome {
             Outcome::Solved { cached } => {
                 solved += 1;
-                if cached {
-                    cache_hits += 1;
-                }
+                cache_hits += u64::from(cached);
             }
             Outcome::RejectedParse => rejected_parse += 1,
             Outcome::RejectedBudget => rejected_budget += 1,
@@ -263,38 +171,34 @@ fn main() {
     // ---- Gates. A netlist spec can never be `InvalidSpec` (that bucket
     // is for malformed job documents, which the generators do not emit),
     // so it counts as untyped here.
-    if panics > 0 {
-        failures.push(format!("{panics} cases panicked"));
-    }
-    if hangs > 0 {
-        failures.push(format!("{hangs} cases exceeded {} ms", args.max_case_ms));
-    }
-    if untyped + invalid_spec > 0 {
-        failures.push(format!(
-            "{} cases escaped the typed 200/413/422 surface",
-            untyped + invalid_spec
-        ));
-    }
+    let untyped = untyped + invalid_spec;
+    gates.require(panics == 0, format!("{panics} cases panicked"));
+    gates.require(
+        hangs == 0,
+        format!("{hangs} cases exceeded {} ms", MAX_CASE.as_millis()),
+    );
+    gates.require(
+        untyped == 0,
+        format!("{untyped} cases escaped the typed 200/413/422 surface"),
+    );
     // Sanity: the mix must actually exercise both sides of the boundary.
-    if solved == 0 {
-        failures.push("no generated netlist ever solved".to_string());
-    }
-    if rejected_parse == 0 {
-        failures.push("no generated netlist was ever parse-rejected".to_string());
-    }
+    gates.require(solved > 0, "no generated netlist ever solved");
+    gates.require(
+        rejected_parse > 0,
+        "no generated netlist was ever parse-rejected",
+    );
 
-    let mut report = RunReport::new("si_netfuzz");
-    report.note("mode", if args.http { "http" } else { "in_process" });
+    let metrics = service.metrics();
+    let report = &mut gates.report;
+    report.note("mode", if http { "http" } else { "in_process" });
     report.note(
         "plan",
         format!(
-            "seed {}, {} cases ({} fixed nasty + seeded mix of raw/valid/mutant)",
-            args.seed,
-            args.iters,
+            "seed {seed}, {iters} cases ({} fixed nasty + seeded mix of raw/valid/mutant)",
             NASTY_CORPUS.len()
         ),
     );
-    report.metric("cases", args.iters as f64);
+    report.metric("cases", iters as f64);
     report.metric("solved", solved as f64);
     report.metric("cache_hits", cache_hits as f64);
     report.metric("rejected_parse", rejected_parse as f64);
@@ -302,47 +206,23 @@ fn main() {
     report.metric("analysis_failed", analysis_failed as f64);
     report.metric("panics", panics as f64);
     report.metric("hangs", hangs as f64);
-    report.metric("untyped", (untyped + invalid_spec) as f64);
-    report.metric(
+    report.metric("untyped", untyped as f64);
+    for key in [
         "netlist_submitted",
-        svc_counter(&service, "service", "netlist_submitted"),
-    );
-    report.metric(
         "netlist_rejected_parse",
-        svc_counter(&service, "service", "netlist_rejected_parse"),
-    );
-    report.metric(
         "netlist_rejected_budget",
-        svc_counter(&service, "service", "netlist_rejected_budget"),
-    );
+    ] {
+        report.metric(key, metric(&metrics, "service", key));
+    }
     report.metric("max_case_us", max_case_wall.as_micros() as f64);
     report.metric("wall_s", wall.as_secs_f64());
     report.set_solver(service.engine_stats());
-
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
-    println!(
-        "netfuzz: {} cases | {solved} solved ({cache_hits} cached), {rejected_parse} parse-rejected, \
+    gates.summary = format!(
+        "netfuzz: {iters} cases | {solved} solved ({cache_hits} cached), {rejected_parse} parse-rejected, \
          {rejected_budget} budget-rejected, {analysis_failed} analysis-failed | \
-         {panics} panics, {hangs} hangs, {} untyped | slowest case {max_case_wall:?}",
-        args.iters,
-        untyped + invalid_spec,
+         {panics} panics, {hangs} hangs, {untyped} untyped | slowest case {max_case_wall:?}"
     );
 
-    if let Some(mut srv) = server.take() {
-        srv.shutdown();
-    } else {
-        service.shutdown();
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("netfuzz run survived: every outcome typed, no panics, no hangs");
+    target.shutdown();
+    gates.finish();
 }

@@ -58,9 +58,7 @@ pub fn fig7_levels() -> Vec<f64> {
     ]
 }
 
-/// Measures one sweep point on a freshly built modulator — the single
-/// implementation behind both the serial and parallel sweeps, so the two
-/// paths are byte-identical given the same factory.
+/// Measures one sweep point on a freshly built modulator.
 fn measure_point<M: Modulator>(
     modulator: &mut M,
     level_db: f64,
@@ -77,63 +75,21 @@ fn measure_point<M: Modulator>(
     })
 }
 
-fn require_two_levels(levels_db: &[f64]) -> Result<(), ModulatorError> {
-    if levels_db.len() < 2 {
-        return Err(ModulatorError::InvalidParameter {
-            name: "levels_db",
-            constraint: "a sweep needs at least two levels",
-        });
-    }
-    Ok(())
-}
-
-fn finish_sweep(points: Vec<SweepPoint>) -> Result<SweepResult, ModulatorError> {
-    let levels: Vec<f64> = points.iter().map(|p| p.level_db).collect();
-    let sinads: Vec<f64> = points.iter().map(|p| p.sinad_db).collect();
-    let dynamic_range = dynamic_range_db(&levels, &sinads)?;
-    Ok(SweepResult {
-        points,
-        dynamic_range_db: dynamic_range,
-    })
-}
-
 /// Sweeps input level; `factory` builds a fresh modulator for every point
 /// so state and noise seeds are identical across levels.
 ///
+/// Points are measured across worker threads via
+/// [`si_core::sweep::parallel_map`] (one worker per level, capped by the
+/// available parallelism; a single worker runs them inline). Because every
+/// point runs on its own fresh modulator and results come back in level
+/// order, the output is byte-identical to a serial loop for any factory
+/// whose randomness is seeded per build.
+///
 /// # Errors
 ///
-/// Propagates build and measurement errors; the sweep requires at least
-/// two levels.
+/// Propagates build and measurement errors — the first failing level, in
+/// level order; the sweep requires at least two levels.
 pub fn sndr_sweep<M, F>(
-    mut factory: F,
-    levels_db: &[f64],
-    config: &MeasurementConfig,
-) -> Result<SweepResult, ModulatorError>
-where
-    M: Modulator,
-    F: FnMut() -> Result<M, ModulatorError>,
-{
-    require_two_levels(levels_db)?;
-    let mut points = Vec::with_capacity(levels_db.len());
-    for &level in levels_db {
-        let mut modulator = factory()?;
-        points.push(measure_point(&mut modulator, level, config)?);
-    }
-    finish_sweep(points)
-}
-
-/// Parallel variant of [`sndr_sweep`]: points are measured across worker
-/// threads via [`si_core::sweep::parallel_map`]. Because every point runs
-/// on a fresh modulator built by `factory` (exactly as in the serial
-/// sweep) and results are re-sorted into level order, the output is
-/// byte-identical to [`sndr_sweep`] for any factory whose randomness is
-/// seeded per build.
-///
-/// # Errors
-///
-/// Same as [`sndr_sweep`]; the first failing level (in level order)
-/// reports its error.
-pub fn sndr_sweep_parallel<M, F>(
     factory: F,
     levels_db: &[f64],
     config: &MeasurementConfig,
@@ -142,16 +98,23 @@ where
     M: Modulator,
     F: Fn() -> Result<M, ModulatorError> + Sync,
 {
-    require_two_levels(levels_db)?;
+    if levels_db.len() < 2 {
+        return Err(ModulatorError::InvalidParameter {
+            name: "levels_db",
+            constraint: "a sweep needs at least two levels",
+        });
+    }
     let points = si_core::sweep::parallel_map(
         levels_db,
         || (),
-        |(), &level, _| {
-            let mut modulator = factory()?;
-            measure_point(&mut modulator, level, config)
-        },
+        |(), &level, _| measure_point(&mut factory()?, level, config),
     )?;
-    finish_sweep(points)
+    let sinads: Vec<f64> = points.iter().map(|p| p.sinad_db).collect();
+    let dynamic_range = dynamic_range_db(levels_db, &sinads)?;
+    Ok(SweepResult {
+        points,
+        dynamic_range_db: dynamic_range,
+    })
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 //! - **bit-identical cache after recovery** — each cached value equals a
 //!   fresh solve on a brand-new workspace, bit for bit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use si_analog::engine::EngineWorkspace;
+use si_bench::harness::{bit_identical, fan_out, quiet_injected_panics};
 use si_service::fault::{FaultInjector, FaultPlan};
 use si_service::jobspec::JobSpec;
 use si_service::retry::RetryPolicy;
@@ -43,25 +43,6 @@ fn metric(service: &SiService, section: &str, name: &str) -> f64 {
         .and_then(|s| s.get(name))
         .and_then(si_service::json::Json::as_f64)
         .unwrap_or_else(|| panic!("missing metric {section}.{name}"))
-}
-
-/// Silences the expected storm of injected-panic backtraces while still
-/// printing any *real* panic.
-fn quiet_injected_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected fault"))
-            || info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
 }
 
 #[test]
@@ -97,33 +78,11 @@ fn chaos_storm_recovers_with_bit_identical_cache() {
     service.install_fault_injector(Arc::clone(&injector));
 
     // Chaos phase: duplicate-heavy concurrent workload under injection.
-    let failures = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let service = Arc::clone(&service);
-            let failures = &failures;
-            let completed = &completed;
-            scope.spawn(move || {
-                for i in 0..SUBMISSIONS_PER_CLIENT {
-                    let k = (c + i * CLIENTS) % DISTINCT;
-                    match service.submit_blocking(&spec(k), None) {
-                        Ok(_) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
+    // Every submission returned — the fan-out joining proves none wedged.
+    let results = fan_out(CLIENTS * SUBMISSIONS_PER_CLIENT, CLIENTS, None, |_, j| {
+        service.submit_blocking(&spec(j % DISTINCT), None)
     });
-    // Every submission returned — the scope joining proves none wedged.
-    assert_eq!(
-        completed.load(Ordering::Relaxed) + failures.load(Ordering::Relaxed),
-        (CLIENTS * SUBMISSIONS_PER_CLIENT) as u64
-    );
+    assert_eq!(results.len(), CLIENTS * SUBMISSIONS_PER_CLIENT);
 
     let faults = injector.stats();
     assert!(
@@ -142,14 +101,12 @@ fn chaos_storm_recovers_with_bit_identical_cache() {
             .submit_blocking(&spec, None)
             .unwrap_or_else(|e| panic!("key {k} failed to resolve after recovery: {e}"));
         let fresh = spec.run(&mut fresh_ws).expect("fresh solve");
-        assert_eq!(out.values.len(), fresh.values.len());
-        for (i, (a, b)) in out.values.iter().zip(fresh.values.iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "key {k} value {i} differs from a fresh solve: {a} vs {b}"
-            );
-        }
+        assert!(
+            bit_identical(&out.values, &fresh.values),
+            "key {k} differs from a fresh solve: {:?} vs {:?}",
+            out.values,
+            fresh.values
+        );
     }
 
     // No stuck work, no leaked cancellation flags, and the panic storm

@@ -158,29 +158,43 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     }
 }
 
-/// The modulator-level sweep (Fig. 7 measurement) must report identical
-/// points from the serial and parallel entry points — per-point
-/// determinism comes from the modulator's own seed.
+/// The modulator-level sweep (Fig. 7 measurement) fans its levels out
+/// across threads; it must report exactly what a serial loop over the same
+/// levels reports — per-point determinism comes from the modulator's own
+/// seed.
 #[test]
 fn modulator_sndr_sweep_serial_and_parallel_agree() {
-    use si_modulator::measure::MeasurementConfig;
+    use si_dsp::metrics::dynamic_range_db;
+    use si_modulator::measure::{measure, MeasurementConfig};
     use si_modulator::si::{SiModulator, SiModulatorConfig};
-    use si_modulator::sweep::{sndr_sweep, sndr_sweep_parallel};
+    use si_modulator::sweep::sndr_sweep;
+    use si_modulator::Modulator;
 
     let base = SiModulatorConfig::paper_08um();
     let mut cfg = MeasurementConfig::quick();
     cfg.record_len = 4096;
     let levels = [-40.0, -20.0, -6.0];
 
-    let serial = sndr_sweep(|| SiModulator::new(base), &levels, &cfg).unwrap();
-    let parallel = sndr_sweep_parallel(|| SiModulator::new(base), &levels, &cfg).unwrap();
+    // The serial reference: one fresh modulator and one measurement per
+    // level, in level order.
+    let serial: Vec<_> = levels
+        .iter()
+        .map(|&level| {
+            let mut modulator = SiModulator::new(base).unwrap();
+            let mut point_cfg = cfg;
+            point_cfg.amplitude = modulator.full_scale() * si_dsp::db_to_amplitude(level);
+            measure(&mut modulator, &point_cfg).unwrap()
+        })
+        .collect();
+    let sinads: Vec<f64> = serial.iter().map(|m| m.sinad_db).collect();
+    let serial_dr = dynamic_range_db(&levels, &sinads).unwrap();
 
-    assert_eq!(
-        serial.dynamic_range_db.to_bits(),
-        parallel.dynamic_range_db.to_bits()
-    );
-    for (s, p) in serial.points.iter().zip(&parallel.points) {
-        assert_eq!(s.level_db.to_bits(), p.level_db.to_bits());
+    let parallel = sndr_sweep(|| SiModulator::new(base), &levels, &cfg).unwrap();
+
+    assert_eq!(serial_dr.to_bits(), parallel.dynamic_range_db.to_bits());
+    assert_eq!(parallel.points.len(), levels.len());
+    for ((s, p), level) in serial.iter().zip(&parallel.points).zip(levels) {
+        assert_eq!(level.to_bits(), p.level_db.to_bits());
         assert_eq!(s.sinad_db.to_bits(), p.sinad_db.to_bits());
         assert_eq!(s.snr_db.to_bits(), p.snr_db.to_bits());
         assert_eq!(s.thd_db.to_bits(), p.thd_db.to_bits());
