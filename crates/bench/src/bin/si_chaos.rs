@@ -56,7 +56,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use si_analog::engine::EngineWorkspace;
-use si_bench::harness::{self, bit_identical, metric, Flag, Flags, Gates, Target};
+use si_bench::harness::{self, bit_identical, metric, Flag, Flags, Gates, SubmitError, Target};
 use si_bench::netfuzz;
 use si_service::http::{http_drop_mid_body, http_request, HttpConfig};
 use si_service::jobspec::JobSpec;
@@ -64,7 +64,6 @@ use si_service::router::{RouterConfig, RouterServer};
 use si_service::service::{ServiceConfig, SiService};
 use si_service::{
     CacheTier, DiskTier, DiskTierConfig, FaultInjector, FaultKind, FaultPlan, RetryPolicy,
-    ServiceError,
 };
 
 /// Seed of every fault schedule and retry jitter.
@@ -177,7 +176,7 @@ fn run_storm(flags: &Flags) -> Gates {
     // client-side drop goes out first on its own connection; the real
     // request follows, so the drop never carries the job.
     let submit = |spec: &JobSpec| {
-        harness::retrying(&CLIENT_RETRY, ServiceError::is_client_retryable, || {
+        harness::retrying(&CLIENT_RETRY, SubmitError::is_client_retryable, || {
             if let (Some(addr), Some(drops)) = (target.addr(), &client_drops) {
                 if drops.next_fault() == Some(FaultKind::DropConnection) {
                     let body = spec.to_json().to_string_compact();
@@ -351,20 +350,21 @@ fn run_storm(flags: &Flags) -> Gates {
     let counter = |key: &str| metric(&service.metrics(), "service", key);
     let parse_before = counter("netlist_rejected_parse");
     let budget_before = counter("netlist_rejected_budget");
-    // The HTTP status each submission answered (in-process: the status
-    // its error maps to).
-    let submit_netlist = |netlist: String| {
-        target
-            .submit(&JobSpec::Netlist { netlist })
-            .map_or_else(|e| e.http_status(), |_| 200)
+    // The HTTP status each submission answered with a typed error
+    // (in-process: the status its error maps to); an untyped answer is
+    // its own error.
+    let submit_netlist = |netlist: String| match target.submit(&JobSpec::Netlist { netlist }) {
+        Ok(_) => Ok(200),
+        Err(SubmitError::Typed(e)) => Ok(e.http_status()),
+        Err(untyped) => Err(untyped),
     };
     let mut netlist_untyped = 0u64;
     for k in 0..poison_jobs {
         let status = submit_netlist(netfuzz::poison(SEED + k as u64));
-        if status != 422 {
+        if status != Ok(422) {
             netlist_untyped += 1;
             if netlist_untyped <= 3 {
-                eprintln!("poisoned netlist {k} was not 422-rejected: {status}");
+                eprintln!("poisoned netlist {k} was not 422-rejected: {status:?}");
             }
         }
     }
@@ -374,13 +374,13 @@ fn run_storm(flags: &Flags) -> Gates {
     );
     let oversized = submit_netlist(netfuzz::oversized(9000));
     gates.require(
-        oversized == 413,
-        format!("oversized netlist was not 413-rejected: {oversized}"),
+        oversized == Ok(413),
+        format!("oversized netlist was not 413-rejected: {oversized:?}"),
     );
     let valid = submit_netlist("V1 in 0 3.3\nR1 in mid 1k\nR2 mid 0 2k\n.end\n".to_string());
     gates.require(
-        valid == 200,
-        format!("valid netlist no longer solves after the poison storm: {valid}"),
+        valid == Ok(200),
+        format!("valid netlist no longer solves after the poison storm: {valid:?}"),
     );
     let netlist_parse_rejections = counter("netlist_rejected_parse") - parse_before;
     let netlist_budget_rejections = counter("netlist_rejected_budget") - budget_before;

@@ -87,7 +87,9 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use si_analog::engine::EngineWorkspace;
-use si_bench::harness::{self, bit_identical, metric, scrape, Flag, Flags, Gates, Target};
+use si_bench::harness::{
+    self, bit_identical, metric, scrape, Flag, Flags, Gates, SubmitError, Target,
+};
 use si_bench::run_report::RunReport;
 use si_service::http::{http_request, HttpConfig};
 use si_service::jobspec::JobSpec;
@@ -186,7 +188,7 @@ fn run_phase(target: &Target, specs: &[JobSpec], clients: usize) -> Phase {
                 phase.latencies.push(latency);
                 phase.cached += usize::from(cached);
             }
-            Err(ServiceError::Overloaded { .. }) => phase.overloaded += 1,
+            Err(SubmitError::Typed(ServiceError::Overloaded { .. })) => phase.overloaded += 1,
             Err(_) => phase.errors += 1,
         }
     }

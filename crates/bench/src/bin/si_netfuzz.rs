@@ -27,7 +27,7 @@
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
-use si_bench::harness::{self, metric, Flag, Gates, Target};
+use si_bench::harness::{self, metric, Flag, Gates, SubmitError, Target};
 use si_bench::netfuzz::{self, NASTY_CORPUS};
 use si_bench::run_report::experiments_dir;
 use si_service::http::HttpConfig;
@@ -54,19 +54,17 @@ enum Outcome {
     Panicked,
 }
 
-/// Buckets a submission's result. A typed error counts only with the
-/// status the wire contract gives it (`422`, `413`, `422`, `400`).
-fn classify(result: Result<bool, ServiceError>) -> Outcome {
-    let err = match result {
-        Ok(cached) => return Outcome::Solved { cached },
-        Err(err) => err,
-    };
-    match (&err, err.http_status()) {
-        (ServiceError::NetlistRejected(_), 422) => Outcome::RejectedParse,
-        (ServiceError::BudgetExceeded { .. }, 413) => Outcome::RejectedBudget,
-        (ServiceError::Analysis(_), 422) => Outcome::AnalysisFailed,
-        (ServiceError::InvalidSpec(_), 400) => Outcome::InvalidSpec,
-        _ => Outcome::Untyped,
+/// Buckets a submission's result. Over HTTP, [`harness::wire_error`]
+/// already demands the status the wire contract gives each typed error
+/// (`422`, `413`, `422`, `400`).
+fn classify(result: Result<bool, SubmitError>) -> Outcome {
+    match result {
+        Ok(cached) => Outcome::Solved { cached },
+        Err(SubmitError::Typed(ServiceError::NetlistRejected(_))) => Outcome::RejectedParse,
+        Err(SubmitError::Typed(ServiceError::BudgetExceeded { .. })) => Outcome::RejectedBudget,
+        Err(SubmitError::Typed(ServiceError::Analysis(_))) => Outcome::AnalysisFailed,
+        Err(SubmitError::Typed(ServiceError::InvalidSpec(_))) => Outcome::InvalidSpec,
+        Err(_) => Outcome::Untyped,
     }
 }
 

@@ -220,15 +220,17 @@ impl Target {
     ///
     /// # Errors
     ///
-    /// The service's typed error. Over HTTP it is read back from the error
-    /// body by [`wire_error`]; a transport failure is
-    /// [`ServiceError::Internal`].
-    pub fn submit(&self, spec: &JobSpec) -> Result<bool, ServiceError> {
+    /// The service's typed error, read back from the error body over HTTP
+    /// by [`wire_error`]; a transport failure is a typed
+    /// [`ServiceError::Internal`]. An answer that does not read back as a
+    /// typed error is [`SubmitError::Untyped`].
+    pub fn submit(&self, spec: &JobSpec) -> Result<bool, SubmitError> {
         let Some(addr) = self.addr() else {
             return self
                 .service
                 .submit_blocking(spec, None)
-                .map(|(_, cached)| cached);
+                .map(|(_, cached)| cached)
+                .map_err(SubmitError::Typed);
         };
         let body = spec.to_json().to_string_compact();
         match http_request(addr, "POST", "/v1/jobs", Some(&body)) {
@@ -236,7 +238,9 @@ impl Target {
                 Ok(json::parse(&payload).is_ok_and(|v| v.get("cached") == Some(&Json::Bool(true))))
             }
             Ok((status, payload)) => Err(wire_error(status, &payload)),
-            Err(e) => Err(ServiceError::Internal(format!("http: {e}"))),
+            Err(e) => Err(SubmitError::Typed(ServiceError::Internal(format!(
+                "http: {e}"
+            )))),
         }
     }
 
@@ -249,40 +253,52 @@ impl Target {
     }
 }
 
-/// Reads a typed error back from a non-200 `{"error": code, "message": …}`
-/// body: the `error` field maps exactly onto [`ServiceError::code`], and
-/// the answered status must be that error's [`ServiceError::http_status`].
-/// Anything else — an unknown code, a code answered with another status,
-/// a body that is not JSON — is [`ServiceError::Internal`] carrying the
-/// status and body.
+/// Why a [`Target::submit`] returned no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The service's own typed error.
+    Typed(ServiceError),
+    /// A non-200 answer that is not a typed error body with its matching
+    /// status: an unknown code, a code answered with another status, a
+    /// body that is not JSON. Only a typed error says whether a retry can
+    /// help, so this is never retried.
+    Untyped {
+        /// The answered status.
+        status: u16,
+        /// The answered body.
+        body: String,
+    },
+}
+
+impl SubmitError {
+    /// Whether a client should back off and resubmit: a typed error that
+    /// [`ServiceError::is_client_retryable`] allows.
+    #[must_use]
+    pub fn is_client_retryable(&self) -> bool {
+        matches!(self, SubmitError::Typed(e) if e.is_client_retryable())
+    }
+}
+
+/// Reads a non-200 `{"error": code, "message": …}` body back as a typed
+/// error: the `error` field decodes by [`ServiceError::from_wire`], and the
+/// answered status must be that error's [`ServiceError::http_status`].
+/// Anything else is [`SubmitError::Untyped`].
 #[must_use]
-pub fn wire_error(status: u16, body: &str) -> ServiceError {
+pub fn wire_error(status: u16, body: &str) -> SubmitError {
     let parsed = json::parse(body).unwrap_or(Json::Null);
     let field = |key: &str| match parsed.get(key) {
-        Some(Json::String(s)) => Some(s.clone()),
-        _ => None,
+        Some(Json::String(s)) => s.as_str(),
+        _ => "",
     };
-    let message = field("message").unwrap_or_default();
-    let typed = match field("error").as_deref() {
-        Some("overloaded") => Some(ServiceError::Overloaded { queue_capacity: 0 }),
-        Some("deadline_exceeded") => Some(ServiceError::DeadlineExceeded),
-        Some("canceled") => Some(ServiceError::Canceled),
-        Some("invalid_spec") => Some(ServiceError::InvalidSpec(message)),
-        Some("analysis_failed") => Some(ServiceError::Analysis(message)),
-        Some("transient") => Some(ServiceError::Transient(message)),
-        Some("internal") => Some(ServiceError::Internal(message)),
-        Some("shutting_down") => Some(ServiceError::ShuttingDown),
-        Some("netlist_rejected") => Some(ServiceError::NetlistRejected(message)),
-        Some("budget_exceeded") => Some(ServiceError::BudgetExceeded {
-            resource: "wire",
-            actual: 0,
-            limit: 0,
-        }),
-        _ => None,
-    };
-    typed
+    ServiceError::from_wire(field("error"), field("message"))
         .filter(|e| e.http_status() == status)
-        .unwrap_or_else(|| ServiceError::Internal(format!("status {status}: {body}")))
+        .map_or_else(
+            || SubmitError::Untyped {
+                status,
+                body: body.to_string(),
+            },
+            SubmitError::Typed,
+        )
 }
 
 /// One spawned `si_serve --workers 1 --queue 32` child; killed on drop.
@@ -814,6 +830,10 @@ mod tests {
 
     #[test]
     fn wire_errors_map_back_by_their_error_field() {
+        let typed_code = |answer: SubmitError| match answer {
+            SubmitError::Typed(e) => e.code(),
+            SubmitError::Untyped { status, .. } => panic!("untyped {status} answer"),
+        };
         let variants = [
             ServiceError::Overloaded { queue_capacity: 8 },
             ServiceError::DeadlineExceeded,
@@ -836,7 +856,7 @@ mod tests {
                 ("message".to_string(), Json::String(err.to_string())),
             ])
             .to_string_compact();
-            assert_eq!(wire_error(err.http_status(), &body).code(), err.code());
+            assert_eq!(typed_code(wire_error(err.http_status(), &body)), err.code());
             // A message quoting another variant's code does not fool it.
             let decoy = Json::Object(vec![
                 ("error".to_string(), Json::String(err.code().to_string())),
@@ -846,14 +866,30 @@ mod tests {
                 ),
             ])
             .to_string_compact();
-            assert_eq!(wire_error(err.http_status(), &decoy).code(), err.code());
+            assert_eq!(
+                typed_code(wire_error(err.http_status(), &decoy)),
+                err.code()
+            );
         }
-        let unknown = wire_error(404, r#"{"error":"not_found","message":"overloaded"}"#);
-        assert_eq!(unknown.code(), "internal");
-        assert_eq!(wire_error(502, "<html>").code(), "internal");
-        // A known code answered with another status is not trusted.
-        let wrong_status = wire_error(400, r#"{"error":"netlist_rejected","message":"x"}"#);
-        assert_eq!(wrong_status.code(), "internal");
-        assert!(wrong_status.to_string().contains("status 400"));
+        // An unknown code, a body that is not JSON, and a known code
+        // answered with another status all read as untyped, and none is
+        // ever retried.
+        for (status, body) in [
+            (404, r#"{"error":"not_found","message":"overloaded"}"#),
+            (502, "<html>"),
+            (408, r#"{"error":"invalid_spec","message":"read timeout"}"#),
+            (400, r#"{"error":"netlist_rejected","message":"x"}"#),
+        ] {
+            let answer = wire_error(status, body);
+            assert_eq!(
+                answer,
+                SubmitError::Untyped {
+                    status,
+                    body: body.to_string()
+                }
+            );
+            assert!(!answer.is_client_retryable());
+        }
+        assert!(wire_error(503, r#"{"error":"overloaded","message":""}"#).is_client_retryable());
     }
 }

@@ -126,6 +126,33 @@ impl ServiceError {
         }
     }
 
+    /// Reads an error back from the `code` and `message` of its JSON error
+    /// body: the inverse of [`ServiceError::code`], `None` for a code no
+    /// variant has. Fields the body does not carry read as zero: an
+    /// `overloaded` queue capacity of 0, a `budget_exceeded` resource of
+    /// `""` at 0 over 0 (the message keeps the text).
+    #[must_use]
+    pub fn from_wire(code: &str, message: &str) -> Option<ServiceError> {
+        let message = message.to_string();
+        Some(match code {
+            "overloaded" => ServiceError::Overloaded { queue_capacity: 0 },
+            "deadline_exceeded" => ServiceError::DeadlineExceeded,
+            "canceled" => ServiceError::Canceled,
+            "invalid_spec" => ServiceError::InvalidSpec(message),
+            "analysis_failed" => ServiceError::Analysis(message),
+            "transient" => ServiceError::Transient(message),
+            "internal" => ServiceError::Internal(message),
+            "shutting_down" => ServiceError::ShuttingDown,
+            "netlist_rejected" => ServiceError::NetlistRejected(message),
+            "budget_exceeded" => ServiceError::BudgetExceeded {
+                resource: "",
+                actual: 0,
+                limit: 0,
+            },
+            _ => return None,
+        })
+    }
+
     /// Whether a retry of the same submission can plausibly succeed.
     ///
     /// Transient solver failures and worker crashes are retryable (the
@@ -186,6 +213,63 @@ mod tests {
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle), "{e}");
         }
+    }
+
+    /// One value of every variant. The match has no wildcard arm, so a new
+    /// variant stops this compiling until it is listed here too.
+    fn one_of_each() -> Vec<ServiceError> {
+        let all = vec![
+            ServiceError::Overloaded { queue_capacity: 8 },
+            ServiceError::DeadlineExceeded,
+            ServiceError::Canceled,
+            ServiceError::InvalidSpec("bad stages".into()),
+            ServiceError::Analysis("no convergence".into()),
+            ServiceError::Transient("iteration budget".into()),
+            ServiceError::Internal("worker panicked".into()),
+            ServiceError::ShuttingDown,
+            ServiceError::NetlistRejected("line 2".into()),
+            ServiceError::BudgetExceeded {
+                resource: "nodes",
+                actual: 9,
+                limit: 4,
+            },
+        ];
+        for e in &all {
+            match e {
+                ServiceError::Overloaded { .. }
+                | ServiceError::DeadlineExceeded
+                | ServiceError::Canceled
+                | ServiceError::InvalidSpec(_)
+                | ServiceError::Analysis(_)
+                | ServiceError::Transient(_)
+                | ServiceError::Internal(_)
+                | ServiceError::ShuttingDown
+                | ServiceError::NetlistRejected(_)
+                | ServiceError::BudgetExceeded { .. } => {}
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn every_code_reads_back_as_its_variant() {
+        let all = one_of_each();
+        for e in &all {
+            let back = ServiceError::from_wire(e.code(), "msg").expect("known code");
+            assert_eq!(back.code(), e.code());
+            assert_eq!(back.http_status(), e.http_status());
+            assert_eq!(back.is_client_retryable(), e.is_client_retryable());
+        }
+        // The codes are distinct, so the inverse is well defined.
+        let mut codes: Vec<&str> = all.iter().map(ServiceError::code).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), all.len());
+        assert_eq!(ServiceError::from_wire("not_found", "msg"), None);
+        assert_eq!(
+            ServiceError::from_wire("analysis_failed", "no convergence"),
+            Some(ServiceError::Analysis("no convergence".into()))
+        );
     }
 
     #[test]

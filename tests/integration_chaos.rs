@@ -79,10 +79,9 @@ fn chaos_storm_recovers_with_bit_identical_cache() {
 
     // Chaos phase: duplicate-heavy concurrent workload under injection.
     // Every submission returned — the fan-out joining proves none wedged.
-    let results = fan_out(CLIENTS * SUBMISSIONS_PER_CLIENT, CLIENTS, None, |_, j| {
+    fan_out(CLIENTS * SUBMISSIONS_PER_CLIENT, CLIENTS, None, |_, j| {
         service.submit_blocking(&spec(j % DISTINCT), None)
     });
-    assert_eq!(results.len(), CLIENTS * SUBMISSIONS_PER_CLIENT);
 
     let faults = injector.stats();
     assert!(
